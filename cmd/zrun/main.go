@@ -36,7 +36,7 @@ func main() {
 	traceOut := flag.String("trace-out", "", "write a Perfetto/Chrome trace of the run to this path (load at ui.perfetto.dev)")
 	metrics := flag.Bool("metrics", false, "print the microarchitectural metrics of the run")
 	disasm := flag.Bool("d", false, "print the disassembly before running")
-	scan := flag.Bool("scan", false, "scan the program for speculative store-bypass gadgets")
+	scan := flag.Bool("scan", false, "scan the program for speculative-leak gadgets (Spectre-STL and -CTL)")
 	cpuprofile := flag.String("cpuprofile", "", "write a host CPU profile of this process to the given path")
 	memprofile := flag.String("memprofile", "", "write a host heap profile of this process to the given path")
 	flag.Parse()
@@ -87,12 +87,12 @@ func main() {
 		fmt.Println()
 	}
 	if *scan {
-		cands := zenspec.ScanGadgets(code)
-		if len(cands) == 0 {
-			fmt.Println("gadget scan: no speculative store-bypass candidates")
+		findings := zenspec.SpecCheck(code, zenspec.SpecCheckOptions{Base: entryVA})
+		if len(findings) == 0 {
+			fmt.Println("gadget scan: no speculative-leak candidates")
 		}
-		for _, c := range cands {
-			fmt.Println("gadget scan:", c)
+		for _, f := range findings {
+			fmt.Println("gadget scan:", f)
 		}
 		fmt.Println()
 	}

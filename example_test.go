@@ -43,7 +43,7 @@ func ExampleAssemble() {
 	// 0x400010: halt
 }
 
-func ExampleScanGadgets() {
+func ExampleSpecCheck() {
 	code, _ := zenspec.Assemble(`
 		store [rcx], rax
 		load  rdx, [r14]
@@ -53,11 +53,11 @@ func ExampleScanGadgets() {
 		load  r10, [r9]
 		halt
 	`, 0)
-	for _, c := range zenspec.ScanGadgets(code) {
-		fmt.Println(c)
+	for _, f := range zenspec.SpecCheck(code, zenspec.SpecCheckOptions{}) {
+		fmt.Println(f)
 	}
 	// Output:
-	// gadget: store@+0x0  ld1@+0x8  ld2@+0x18  transmit@+0x28
+	// stl: store@+0x0  ld1@+0x8  ld2@+0x18  transmit@+0x28
 }
 
 func ExampleMDUCharacterization() {

@@ -12,8 +12,7 @@ type Counters struct {
 	C0, C1, C2, C3, C4 int
 }
 
-// InstEvent is one executed instruction, architectural or transient — the
-// stream the deprecated pipeline.Tracer carried, now one class among many.
+// InstEvent is one executed instruction, architectural or transient.
 // The cycle stamps partition the instruction's lifetime for the top-down
 // attribution the profiler performs: dispatch→issue is front-end and operand
 // wait, issue→complete is execution (minus SQStall and Replay, which are

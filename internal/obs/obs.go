@@ -27,8 +27,7 @@ type Class uint8
 
 // Event classes.
 const (
-	// ClassInst is one executed instruction, architectural or transient —
-	// the stream the deprecated pipeline.Tracer used to carry.
+	// ClassInst is one executed instruction, architectural or transient.
 	ClassInst Class = iota
 	// ClassSquash is transient-episode bookkeeping: branch mispredictions,
 	// memory-speculation rollbacks (types D and G) and fault windows.

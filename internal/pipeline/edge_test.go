@@ -7,6 +7,7 @@ import (
 	"zenspec/internal/cache"
 	"zenspec/internal/isa"
 	"zenspec/internal/mem"
+	"zenspec/internal/obs"
 	"zenspec/internal/pmc"
 	"zenspec/internal/predict"
 )
@@ -347,22 +348,24 @@ func TestStopReasonStrings(t *testing.T) {
 	}
 }
 
-// TestTracerSeesTransientInstructions: the instruction tracer observes both
-// architectural and wrong-path execution, with the transient flag set.
+// TestTracerSeesTransient: an observer of the core's instruction events sees
+// both architectural and wrong-path execution, with the transient flag set.
 func TestTracerSeesTransient(t *testing.T) {
 	se := newStldEnv(t, Config{})
 	var arch, transient int
-	se.core.SetTracer(func(e TraceEntry) {
+	se.core.AttachBus(obs.NewBus(), 0)
+	cancel := se.core.Bus().Subscribe(obs.ObserverFunc(func(ev obs.Event) {
+		e := ev.(obs.InstEvent)
 		if e.Transient {
 			transient++
 		} else {
 			arch++
 		}
 		if e.PC == 0 || e.Inst.Op == 0 {
-			t.Error("empty trace entry")
+			t.Error("empty instruction event")
 		}
-	})
-	defer se.core.SetTracer(nil)
+	}), obs.Options{Classes: []obs.Class{obs.ClassInst}})
+	defer cancel()
 	se.exec(true) // type G: opens a transient window
 	if arch == 0 {
 		t.Error("no architectural entries traced")

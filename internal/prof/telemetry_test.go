@@ -123,26 +123,6 @@ func TestRegisteredGauges(t *testing.T) {
 	}
 }
 
-// TestGaugeKeyAliasing pins the naming-migration contract: the legacy dotted
-// spelling and the canonical underscore spelling register the SAME gauge —
-// one series on /metrics, last registration wins — so call sites can migrate
-// one release apart without ever double-exporting.
-func TestGaugeKeyAliasing(t *testing.T) {
-	tel := NewTelemetry()
-	tel.RegisterGauge("service.queue_depth", func() float64 { return 3 })
-	tel.RegisterGauge("service_queue_depth", func() float64 { return 5 })
-	code, body := get(t, tel.Handler(), "/metrics")
-	if code != 200 {
-		t.Fatalf("status %d", code)
-	}
-	if !strings.Contains(body, "zenspec_service_queue_depth 5") {
-		t.Errorf("canonical registration did not win:\n%s", body)
-	}
-	if strings.Count(body, "# TYPE zenspec_service_queue_depth gauge") != 1 {
-		t.Errorf("dotted and underscore spellings exported separate series:\n%s", body)
-	}
-}
-
 // TestRegisteredCollectors: a collector's self-formatted exposition lines
 // appear on /metrics after the gauges, and re-registration replaces it.
 func TestRegisteredCollectors(t *testing.T) {

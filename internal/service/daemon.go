@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log/slog"
 	"os"
@@ -741,7 +742,15 @@ func (d *Daemon) Complete(token string, comp Completion) error {
 // old terminal jobs past the retention bound.
 func (d *Daemon) resolveLocked(j *job, s *shard, rec record) {
 	wasActive := j.active()
-	if err := d.jnl.append(rec); err != nil {
+	err := d.jnl.append(rec)
+	if errors.Is(err, ErrRecordTooLarge) {
+		// A rerun would produce the same oversize fragment: fail the shard
+		// instead of retrying it forever.
+		d.log.Error("shard failed", "job", j.id, "shard", s.id, "error", err)
+		rec = record{Type: recShardFailed, Job: j.id, Shard: s.id, Error: err.Error()}
+		err = d.jnl.append(rec)
+	}
+	if err != nil {
 		// A failed append means the outcome is not durable; leave the shard
 		// pending so it reruns (deterministically identical) rather than
 		// recording state the journal cannot replay.

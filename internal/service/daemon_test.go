@@ -116,6 +116,36 @@ func TestSubmitRunsToCompletion(t *testing.T) {
 	}
 }
 
+// TestOversizeCompletionFailsShard: a shard whose completion record exceeds
+// the journal's record limit fails with ErrRecordTooLarge's text instead of
+// being rerun forever (every rerun yields the same bytes).
+func TestOversizeCompletionFailsShard(t *testing.T) {
+	defer func(n int) { maxRecordSize = n }(maxRecordSize)
+	maxRecordSize = 2 << 10
+	reg := harness.NewRegistry()
+	reg.Register(harness.Experiment{
+		ID: "big", Title: "oversize report", Paper: "test fixture",
+		Run: func(harness.Ctx) harness.Report {
+			return harness.Report{Detail: strings.Repeat("x", maxRecordSize)}
+		},
+	})
+	d, err := Open(Config{Dir: t.TempDir(), Registry: reg, Workers: 1, Lease: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := d.Submit(JobSpec{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := waitStatus(t, d, id, JobStatus.Terminal, "job resolution")
+	if st.State != JobFailed || !strings.Contains(st.Shards[0].Error, ErrRecordTooLarge.Error()) {
+		t.Fatalf("job finished %+v, want its shard failed as too large", st)
+	}
+	if err := d.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestSubmitValidation(t *testing.T) {
 	d, err := Open(Config{Dir: t.TempDir(), Registry: fakeRegistry("a"), Workers: 0})
 	if err != nil {

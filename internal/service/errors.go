@@ -27,4 +27,11 @@ var (
 	// ErrAPIVersion is returned when the server's GET /v1/meta disagrees with
 	// the client's expected API version (or is absent entirely).
 	ErrAPIVersion = errors.New("service: api version mismatch")
+	// ErrJournalVersion is returned by Open for a state directory written
+	// before the /v1 shard layout; such a journal is refused, not replayed.
+	ErrJournalVersion = errors.New("service: unsupported journal version")
+	// ErrRecordTooLarge is returned when a journal record's payload exceeds
+	// the size the journal reader accepts; writing it would lose it, and
+	// every record after it, on the next open.
+	ErrRecordTooLarge = errors.New("service: journal record too large")
 )

@@ -36,9 +36,10 @@ import (
 //
 // A single exclusive flock on wal.lock guards the directory: two live
 // daemons can never interleave appends, while the lock dies with a kill -9'd
-// process so a crashed daemon never wedges its successor. A legacy
-// single-file journal.wal (the pre-segmentation layout) is adopted as the
-// oldest segment on first open.
+// process so a crashed daemon never wedges its successor. Journals from
+// before the /v1 shard layout (the single-file journal.wal, submit records
+// without a shard list, shard completions without a partial report) are
+// refused with ErrJournalVersion rather than replayed.
 
 // Record types. A submit record carries the full spec plus the resolved
 // shard list (so replay does not depend on the live registry); shard records
@@ -65,23 +66,20 @@ type record struct {
 	// keeps its trace identity across restarts. Legacy journals without it
 	// replay fine — the job simply has no trace.
 	Trace string `json:"trace,omitempty"`
-	// Defs is the submit record's shard list; Shards is its legacy pre-/v1
-	// form (whole-experiment IDs), still replayed.
-	Defs   []ShardRef `json:"defs,omitempty"`
-	Shards []string   `json:"shards,omitempty"`
-	Shard  string     `json:"shard,omitempty"`
-	// Partial is a shard-done record's fragment; Report is its legacy
-	// whole-shard form, still replayed.
+	// Defs is the submit record's shard list.
+	Defs  []ShardRef `json:"defs,omitempty"`
+	Shard string     `json:"shard,omitempty"`
+	// Partial is a shard-done record's fragment.
 	Partial *harness.PartialReport `json:"partial,omitempty"`
-	Report  *harness.Report        `json:"report,omitempty"`
 	Error   string                 `json:"error,omitempty"`
 }
 
 var journalMagic = [4]byte{'Z', 'S', 'J', '1'}
 
-// maxRecordSize bounds one record's payload; a longer length field can only
-// come from corruption.
-const maxRecordSize = 256 << 20
+// maxRecordSize bounds one record's payload on both sides: frame refuses to
+// write a longer one, so a longer length field read back can only come from
+// corruption. A variable only so tests can lower it.
+var maxRecordSize = 256 << 20
 
 // defaultSegmentBytes is the segment size limit when the config leaves it 0.
 const defaultSegmentBytes = 4 << 20
@@ -90,10 +88,7 @@ const defaultSegmentBytes = 4 << 20
 // never holds more than this many segments for long.
 const compactSegments = 4
 
-const (
-	lockName   = "wal.lock"
-	legacyName = "journal.wal"
-)
+const lockName = "wal.lock"
 
 func segName(seq int) string { return fmt.Sprintf("wal-%06d.seg", seq) }
 
@@ -115,10 +110,10 @@ type journal struct {
 	onCheckpoint func(recs int, dur time.Duration)    // after a successful compaction
 }
 
-// openJournal locks dir, adopts a legacy single-file journal if present,
-// replays every intact record across all segments in order (healing a corrupt
-// tail of the newest segment by truncation), and returns the handle
-// positioned for appends.
+// openJournal locks dir, replays every intact record across all segments in
+// order (healing a corrupt tail of the newest segment by truncation), and
+// returns the handle positioned for appends. A pre-/v1 journal fails with
+// ErrJournalVersion.
 func openJournal(dir string, limit int64) (*journal, []record, error) {
 	if limit <= 0 {
 		limit = defaultSegmentBytes
@@ -139,16 +134,8 @@ func openJournal(dir string, limit int64) (*journal, []record, error) {
 	if err != nil {
 		return fail(fmt.Errorf("service: list journal segments: %w", err))
 	}
-	// Adopt the pre-segmentation single-file layout as the oldest segment.
-	if _, err := os.Stat(filepath.Join(dir, legacyName)); err == nil {
-		seq := 1
-		if len(seqs) > 0 {
-			seq = seqs[0] - 1 // older than everything segmented
-		}
-		if err := os.Rename(filepath.Join(dir, legacyName), filepath.Join(dir, segName(seq))); err != nil {
-			return fail(fmt.Errorf("service: adopt legacy journal: %w", err))
-		}
-		seqs = append([]int{seq}, seqs...)
+	if _, err := os.Stat(filepath.Join(dir, "journal.wal")); err == nil {
+		return fail(fmt.Errorf("%w: single-file journal.wal in %s", ErrJournalVersion, dir))
 	}
 	if len(seqs) == 0 {
 		seqs = []int{1}
@@ -166,6 +153,9 @@ func openJournal(dir string, limit int64) (*journal, []record, error) {
 			return fail(fmt.Errorf("service: open journal segment: %w", err))
 		}
 		segRecs, good, err := scanRecords(f)
+		if err == nil {
+			err = checkVersion(segRecs)
+		}
 		if err != nil {
 			f.Close()
 			return fail(fmt.Errorf("service: scan journal segment %d: %w", seq, err))
@@ -193,6 +183,17 @@ func openJournal(dir string, limit int64) (*journal, []record, error) {
 		j.f, j.seq, j.size = f, seq, good
 	}
 	return j, recs, nil
+}
+
+// checkVersion refuses pre-/v1 records: a submit without its shard list or a
+// shard completion without its partial report cannot be replayed.
+func checkVersion(recs []record) error {
+	for _, rec := range recs {
+		if rec.Type == recSubmit && len(rec.Defs) == 0 || rec.Type == recShardDone && rec.Partial == nil {
+			return fmt.Errorf("%w: %s record of %s predates the /v1 shard layout", ErrJournalVersion, rec.Type, rec.Job)
+		}
+	}
+	return nil
 }
 
 // listSegments returns the existing segment sequence numbers in ascending
@@ -241,7 +242,7 @@ func scanRecords(f *os.File) ([]record, int64, error) {
 		}
 		n := binary.LittleEndian.Uint32(hdr[4:8])
 		sum := binary.LittleEndian.Uint32(hdr[8:12])
-		if n > maxRecordSize {
+		if int64(n) > int64(maxRecordSize) {
 			return recs, off, nil
 		}
 		payload := make([]byte, n)
@@ -267,6 +268,10 @@ func frame(rec record) ([]byte, error) {
 	payload, err := json.Marshal(rec)
 	if err != nil {
 		return nil, err
+	}
+	if len(payload) > maxRecordSize {
+		return nil, fmt.Errorf("%w: %s record of %s is %d bytes, limit %d",
+			ErrRecordTooLarge, rec.Type, rec.Job, len(payload), maxRecordSize)
 	}
 	buf := make([]byte, 12+len(payload))
 	copy(buf, journalMagic[:])

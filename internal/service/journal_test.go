@@ -1,9 +1,11 @@
 package service
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"zenspec/internal/harness"
@@ -148,42 +150,49 @@ func TestJournalGarbageSegment(t *testing.T) {
 }
 
 // TestJournalLegacyMigration: a pre-segmentation journal.wal single file is
-// adopted as the oldest segment on open — same records, new layout, no data
-// loss.
+// refused with a typed error.
 func TestJournalLegacyMigration(t *testing.T) {
 	dir := t.TempDir()
-	want := testRecords()
-	f, err := os.Create(filepath.Join(dir, legacyName))
+	if err := os.WriteFile(filepath.Join(dir, "journal.wal"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := openJournal(dir, 0); !errors.Is(err, ErrJournalVersion) {
+		t.Fatalf("open with journal.wal: err = %v, want ErrJournalVersion", err)
+	}
+}
+
+// TestJournalRejectsOversizeRecord: a record longer than the reader accepts
+// is refused at write time. Written, the next open would take its length
+// field for a torn tail and truncate it and every later record away.
+func TestJournalRejectsOversizeRecord(t *testing.T) {
+	defer func(n int) { maxRecordSize = n }(maxRecordSize)
+	maxRecordSize = 1 << 10
+	dir := t.TempDir()
+	j, _, err := openJournal(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	big := record{Type: recShardFailed, Job: "job-1", Shard: "a", Error: strings.Repeat("x", maxRecordSize)}
+	if err := j.append(big); !errors.Is(err, ErrRecordTooLarge) {
+		t.Fatalf("oversize append: err = %v, want ErrRecordTooLarge", err)
+	}
+	want := testRecords()
 	for _, rec := range want {
-		buf, err := frame(rec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := f.Write(buf); err != nil {
+		if err := j.append(rec); err != nil {
 			t.Fatal(err)
 		}
 	}
-	f.Close()
+	j.close()
 	j, got, err := openJournal(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j.close()
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("migrated journal differs:\n%+v\nwant\n%+v", got, want)
+		t.Fatalf("replayed %d records, want the %d appended after the refused one", len(got), len(want))
 	}
-	if _, err := os.Stat(filepath.Join(dir, legacyName)); !os.IsNotExist(err) {
-		t.Fatalf("legacy journal.wal still present after migration: %v", err)
-	}
-	if paths := segPaths(t, dir); len(paths) != 1 {
-		t.Fatalf("migration produced %d segments, want 1", len(paths))
-	}
-	// The migrated journal is appendable like any other.
-	if err := j.append(record{Type: recJobDone, Job: "job-1"}); err != nil {
-		t.Fatal(err)
+	if err := j.checkpoint(append(want, big)); !errors.Is(err, ErrRecordTooLarge) {
+		t.Fatalf("oversize checkpoint: err = %v, want ErrRecordTooLarge", err)
 	}
 }
 
@@ -198,7 +207,7 @@ func TestJournalSegmentRotation(t *testing.T) {
 	}
 	var want []record
 	for i := 0; i < 40; i++ {
-		rec := record{Type: recShardDone, Job: "job-1", Shard: segName(i)}
+		rec := record{Type: recShardFailed, Job: "job-1", Shard: segName(i)}
 		want = append(want, rec)
 		if err := j.append(rec); err != nil {
 			t.Fatal(err)
@@ -232,7 +241,7 @@ func TestJournalCorruptSealedTail(t *testing.T) {
 	}
 	var want []record
 	for i := 0; i < 40; i++ {
-		rec := record{Type: recShardDone, Job: "job-1", Shard: segName(i)}
+		rec := record{Type: recShardFailed, Job: "job-1", Shard: segName(i)}
 		want = append(want, rec)
 		if err := j.append(rec); err != nil {
 			t.Fatal(err)
@@ -344,25 +353,22 @@ func TestApplyDuplicateShardDone(t *testing.T) {
 	tab.apply(record{Type: recShardDone, Job: "job-1", Shard: "ghost", Partial: first})
 }
 
-// TestApplyLegacyRecords: pre-/v1 journals carried whole-experiment shard ID
-// lists and bare Reports; they must still replay into the sharded table.
+// TestApplyLegacyRecords: pre-/v1 records (a submit carrying only
+// whole-experiment IDs, a shard completion carrying only a bare Report)
+// decode without their Defs and Partial, and the journal refuses them with a
+// typed error rather than replaying them partially.
 func TestApplyLegacyRecords(t *testing.T) {
-	tab := newJobTable()
-	tab.apply(record{Type: recSubmit, Job: "job-1", Spec: &JobSpec{Seed: 1}, Shards: []string{"a", "b"}})
-	rep := &harness.Report{ID: "a", Detail: "legacy", Status: harness.StatusClean}
-	tab.apply(record{Type: recShardDone, Job: "job-1", Shard: "a", Report: rep})
-	j := tab.jobs["job-1"]
-	if j == nil || len(j.shards) != 2 {
-		t.Fatalf("legacy submit replayed %+v", j)
-	}
-	p := j.partials["a"]
-	if p == nil || !p.Whole() || p.Exp != "a" || p.Report.Detail != "legacy" {
-		t.Fatalf("legacy shard_done replayed %+v", p)
-	}
-	tab.apply(record{Type: recShardDone, Job: "job-1", Shard: "b",
-		Partial: &harness.PartialReport{Exp: "b", Report: &harness.Report{ID: "b"}}})
-	if j.state != JobDone {
-		t.Fatalf("mixed legacy/v1 job state %q, want done", j.state)
+	for name, legacy := range map[string]record{
+		"submit":     {Type: recSubmit, Job: "job-1", Spec: &JobSpec{Seed: 1}},
+		"shard_done": {Type: recShardDone, Job: "job-1", Shard: "a"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			writeTestJournal(t, dir, append(testRecords(), legacy))
+			if _, _, err := openJournal(dir, 0); !errors.Is(err, ErrJournalVersion) {
+				t.Fatalf("open with a pre-/v1 %s record: err = %v, want ErrJournalVersion", name, err)
+			}
+		})
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"strings"
 	"time"
 
 	"zenspec/internal/harness"
@@ -31,13 +30,11 @@ import (
 //	                                      204 when nothing is pending)
 //	POST /v1/leases/{token}/heartbeat     keep a lease alive ({"done", "total"})
 //	POST /v1/leases/{token}/complete      hand back a shard ({"partial", "error", "overrun"})
-//	GET  /v1/healthz                      liveness (200 while the process serves)
-//	GET  /v1/readyz                       readiness (503 once draining)
+//	GET  /healthz                         liveness (200 while the process serves)
+//	GET  /readyz                          readiness (503 once draining)
 //
 // Errors come back as {"error": "...", "code": "..."} JSON bodies; Client
-// maps the code to the package's typed sentinels. The job and health
-// endpoints are also mounted at their pre-/v1 paths (POST /jobs, ...) as
-// deprecated aliases for one release; the lease surface is /v1-only.
+// maps the code to the package's typed sentinels.
 type Server struct {
 	d   *Daemon
 	srv *http.Server
@@ -49,22 +46,16 @@ func NewServer(d *Daemon) *Server { return &Server{d: d} }
 // Handler builds the service mux.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	// handle mounts a job-API route under /v1 and at its legacy pre-/v1 path.
-	handle := func(pattern string, h http.HandlerFunc) {
-		method, path, _ := strings.Cut(pattern, " ")
-		mux.HandleFunc(method+" /v1"+path, h)
-		mux.HandleFunc(pattern, h)
-	}
-	handle("POST /jobs", s.handleSubmit)
-	handle("GET /jobs", s.handleList)
-	handle("GET /jobs/{id}", s.handleStatus)
-	handle("GET /jobs/{id}/watch", s.handleWatch)
-	handle("GET /jobs/{id}/report", s.handleReport)
-	handle("GET /jobs/{id}/profile", s.handleProfile)
-	handle("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
+	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
+	mux.HandleFunc("GET /v1/jobs", s.handleList)
+	mux.HandleFunc("GET /v1/jobs/{id}", s.handleStatus)
+	mux.HandleFunc("GET /v1/jobs/{id}/watch", s.handleWatch)
+	mux.HandleFunc("GET /v1/jobs/{id}/report", s.handleReport)
+	mux.HandleFunc("GET /v1/jobs/{id}/profile", s.handleProfile)
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})
-	handle("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
 		if !s.d.Ready() {
 			// A draining daemon answering probes is an event worth seeing:
 			// without it, an operator only infers the drain from re-leases.

@@ -56,25 +56,13 @@ func TestServerEndToEnd(t *testing.T) {
 	base := "http://" + addr.String()
 	c := &Client{Base: base}
 
-	// Liveness and readiness.
-	for _, path := range []string{"/healthz", "/readyz"} {
-		resp, err := http.Get(base + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != 200 {
-			t.Fatalf("%s status %d", path, resp.StatusCode)
-		}
-	}
-
 	// Submit through the client, watch the NDJSON stream to completion.
 	spec := JobSpec{Seed: 5, Profile: true}
 	id, err := c.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	watch, err := http.Get(base + "/jobs/" + id + "/watch")
+	watch, err := http.Get(base + "/v1/jobs/" + id + "/watch")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +112,7 @@ func TestServerEndToEnd(t *testing.T) {
 	if txt, err := c.TextReport(id); err != nil || !strings.Contains(txt, "boot") {
 		t.Fatalf("text report %q err %v", txt, err)
 	}
-	resp, err := http.Get(base + "/jobs/" + id + "/profile")
+	resp, err := http.Get(base + "/v1/jobs/" + id + "/profile")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,21 +160,21 @@ func TestServerEndToEnd(t *testing.T) {
 		t.Fatalf("version-mismatch error = %v", err)
 	}
 
-	// Every job route answers at both /v1 and its legacy alias.
-	for _, path := range []string{
-		"/jobs", "/v1/jobs",
-		"/jobs/" + id, "/v1/jobs/" + id,
-		"/jobs/" + id + "/report", "/v1/jobs/" + id + "/report",
-		"/healthz", "/v1/healthz",
-		"/readyz", "/v1/readyz",
+	// Job routes live under /v1 only; the probes live unversioned only.
+	for path, want := range map[string]int{
+		"/v1/jobs": 200, "/v1/jobs/" + id: 200, "/v1/jobs/" + id + "/report": 200,
+		"/jobs": 404, "/jobs/" + id: 404, "/jobs/" + id + "/watch": 404,
+		"/jobs/" + id + "/report": 404, "/jobs/" + id + "/profile": 404,
+		"/healthz": 200, "/readyz": 200,
+		"/v1/healthz": 404, "/v1/readyz": 404,
 	} {
 		resp, err := http.Get(base + path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		if resp.StatusCode != 200 {
-			t.Errorf("GET %s status %d", path, resp.StatusCode)
+		if resp.StatusCode != want {
+			t.Errorf("GET %s status %d, want %d", path, resp.StatusCode, want)
 		}
 	}
 

@@ -209,7 +209,6 @@ func TestCacheOptionsIsolation(t *testing.T) {
 	for _, opts := range []speccheck.Options{
 		{},
 		{Window: 16},
-		{STL: true, StraightLine: true},
 		{CTL: true},
 		{MaxStates: 32},
 	} {

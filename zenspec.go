@@ -26,7 +26,6 @@ import (
 	"zenspec/internal/asm"
 	"zenspec/internal/attack"
 	"zenspec/internal/fault"
-	"zenspec/internal/gadget"
 	"zenspec/internal/harness"
 	"zenspec/internal/harness/suite"
 	"zenspec/internal/kernel"
@@ -328,9 +327,8 @@ type TraceRecorder = obs.Recorder
 func NewTraceRecorder() *TraceRecorder { return obs.NewRecorder() }
 
 // Observe subscribes o to a booted Machine's event bus and returns a cancel
-// function. It is the post-boot equivalent of Config.Observer and replaces
-// the deprecated Machine.CPU(i).Core.SetTracer deep-reach: one subscription
-// sees all hardware threads, predictors, caches, the OS model and the fault
+// function. It is the post-boot equivalent of Config.Observer: one
+// subscription sees all hardware threads, predictors, caches, the OS model and the fault
 // injector, filtered by opts.Classes (empty means all).
 func Observe(m *Machine, o Observer, opts ObserverOptions) (cancel func()) {
 	return m.Observe(o, opts)
@@ -358,16 +356,6 @@ func Assemble(src string, base uint64) ([]byte, error) {
 // Disassemble renders machine code as text, one instruction per line.
 func Disassemble(code []byte, base uint64) []string { return asm.Disassemble(code, base) }
 
-// GadgetCandidate is one potential speculative store-bypass gadget found by
-// ScanGadgets.
-type GadgetCandidate = gadget.Candidate
-
-// ScanGadgets statically scans machine code for the store→load→dependent
-// load→transmitter shape the paper's attacks need (Listings 2 and 3).
-func ScanGadgets(code []byte) []GadgetCandidate {
-	return gadget.Scan(code, gadget.Options{})
-}
-
 // SpecFinding is one speculative-leak candidate (Spectre-STL or -CTL) found
 // by the CFG-based analyzer, with its instruction-offset witness chain.
 type SpecFinding = speccheck.Finding
@@ -384,9 +372,9 @@ type SpecReport = speccheck.Report
 // SpecCheck runs the CFG-based always-mispredict taint analysis over machine
 // code: every conditional branch forks a bounded transient window, every
 // store is assumed bypassable, and taint flows through registers and a finite
-// abstract store. It subsumes ScanGadgets (which is its straight-line mode)
-// and additionally reports Spectre-CTL shapes and gadgets reached across
-// branches or through memory.
+// abstract store. It finds the store→load→dependent load→transmitter shape
+// the paper's attacks need (Listings 2 and 3), Spectre-CTL shapes, and
+// gadgets reached across branches or through memory.
 func SpecCheck(code []byte, opts SpecCheckOptions) []SpecFinding {
 	return speccheck.Analyze(code, opts)
 }
