@@ -2,6 +2,7 @@ package suite
 
 import (
 	"bytes"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -19,7 +20,10 @@ import (
 //
 // The margin is 10% plus a small absolute slack so scheduler noise on a
 // sub-second total cannot flake the test; a real regression (cheap trial
-// loops paying goroutine dispatch again) is far larger.
+// loops paying goroutine dispatch again) is far larger. The two settings run
+// alternately and each keeps its fastest time, so load from other test
+// binaries sharing the CPUs slows both sides of the comparison instead of
+// landing on one of them.
 func TestParallelNeverRegressesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing comparison; skipped in -short")
@@ -35,9 +39,13 @@ func TestParallelNeverRegressesSerial(t *testing.T) {
 		}
 		return time.Since(start)
 	}
-	run(1) // warm build caches and pools so neither timed run pays them
-	serial := run(1)
-	parallel := run(8)
+	// The first serial run also warms build caches and pools; the minimum
+	// discards that cost.
+	serial, parallel := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+	for range 3 {
+		serial = min(serial, run(1))
+		parallel = min(parallel, run(8))
+	}
 	limit := serial + serial/10 + 250*time.Millisecond
 	if parallel > limit {
 		t.Errorf("quick suite at 8 workers took %v, serial %v: parallel regresses serial by more than 10%%",
