@@ -13,8 +13,9 @@
 //
 // The daemon's whole lifecycle is observable: every job carries a trace ID
 // from submit to archive, /v1/jobs/{id}/trace serves the stitched Perfetto
-// trace of a run (remote worker spans included), /metrics exposes the
-// zenspec_service_* counter and histogram registry, and structured logs go
+// trace of a run (remote worker spans included), /metrics exposes the queue
+// gauges and the zenspec_service_* counter and histogram registry,
+// /debug/pprof/ profiles the daemon process itself, and structured logs go
 // to stderr with job/shard/lease/worker/attempt fields (-log-format=json
 // for machine-parseable lines).
 //

@@ -2,11 +2,19 @@
 // machine, printing the final registers, cycle count and any store-load
 // speculation events — a workbench for building new gadgets.
 //
+// With -profile it also runs the program under the cycle-attribution
+// profiler and prints the top-N program counters with their top-down stall
+// breakdown (issue wait, execute, SQ-stall, rollback replay, retire wait),
+// disassembly context and the squash table. The profile can also be
+// exported as pprof protobuf (`go tool pprof`) or folded flamegraph text.
+//
 // Usage:
 //
 //	zrun -file prog.s [-regs "rdi=0x10000,rsi=0x10000"] [-data 0x10000:16384] [-ssbd]
 //	echo 'movi rax, 42
 //	halt' | zrun
+//	zrun -file gadget.s -regs "rdi=0x10000,rsi=0x10000" -profile -runs 3
+//	zrun -file gadget.s -profile -pprof out.pb.gz && go tool pprof -top out.pb.gz
 package main
 
 import (
@@ -39,6 +47,11 @@ func main() {
 	scan := flag.Bool("scan", false, "scan the program for speculative-leak gadgets (Spectre-STL and -CTL)")
 	cpuprofile := flag.String("cpuprofile", "", "write a host CPU profile of this process to the given path")
 	memprofile := flag.String("memprofile", "", "write a host heap profile of this process to the given path")
+	profile := flag.Bool("profile", false, "print the simulated machine's per-PC cycle breakdown and squash table")
+	runs := flag.Int("runs", 1, "number of runs, registers reset before each (training effects show up across runs); the last is reported")
+	top := flag.Int("top", 20, "rows in the -profile breakdown table")
+	pprofOut := flag.String("pprof", "", "with -profile, write the profile as pprof protobuf to this path")
+	flameOut := flag.String("flame", "", "with -profile, write the profile as folded flamegraph text to this path")
 	flag.Parse()
 
 	if *cpuprofile != "" {
@@ -122,6 +135,7 @@ func main() {
 	if err := setRegs(p, *regSpec); err != nil {
 		log.Fatalf("zrun: %v", err)
 	}
+	initRegs := p.Regs
 	if *itrace {
 		zenspec.Observe(m, zenspec.ObserverFunc(func(ev zenspec.Event) {
 			e, ok := ev.(zenspec.InstEvent)
@@ -145,8 +159,25 @@ func main() {
 		mets = zenspec.NewMetricsObserver()
 		zenspec.Observe(m, mets, zenspec.ObserverOptions{})
 	}
+	var prof *zenspec.Profiler
+	if *profile {
+		prof = zenspec.NewProfiler()
+		zenspec.Observe(m, prof, zenspec.ObserverOptions{Classes: zenspec.ProfilerClasses()})
+	}
 
-	res := m.Run(p, entryVA, 0)
+	var res zenspec.RunResult
+	var done int
+	var cycles, insts uint64
+	for done < *runs {
+		p.Regs = initRegs
+		res = m.Run(p, entryVA, 0)
+		done++
+		cycles += uint64(res.Cycles)
+		insts += res.Insts
+		if res.Stop.String() == "fault" {
+			break // report the faulting run
+		}
+	}
 	fmt.Printf("stop: %v", res.Stop)
 	if res.Stop.String() == "fault" {
 		fmt.Printf(" (%v at %#x, pc %#x)", res.Fault, res.FaultVA, res.FaultPC)
@@ -187,6 +218,62 @@ func main() {
 		fmt.Println("\nmetrics:")
 		fmt.Print(mets.Snapshot().Text())
 	}
+	if prof != nil {
+		snap := prof.Snapshot()
+		printProfile(snap, code, done, insts, cycles, *top)
+		if *pprofOut != "" {
+			if err := writeTo(*pprofOut, snap.WritePprof); err != nil {
+				log.Fatalf("zrun: %v", err)
+			}
+			fmt.Printf("\nwrote pprof profile to %s (go tool pprof -top %s)\n", *pprofOut, *pprofOut)
+		}
+		if *flameOut != "" {
+			if err := writeTo(*flameOut, snap.WriteFlame); err != nil {
+				log.Fatalf("zrun: %v", err)
+			}
+			fmt.Printf("wrote folded flamegraph to %s\n", *flameOut)
+		}
+	}
+}
+
+// printProfile prints the profile header, the top-N breakdown table with
+// disassembly context, and the squash table.
+func printProfile(snap *zenspec.ProfileSnapshot, code []byte, runs int, insts, cycles uint64, top int) {
+	disasm := map[uint64]string{}
+	for i, line := range zenspec.Disassemble(code, entryVA) {
+		disasm[entryVA+uint64(i*8)] = strings.TrimSpace(line)
+	}
+	fmt.Printf("\nprofile: %d run(s), %d instructions, %d cycles; %d sites, %d attributed cycles\n\n",
+		runs, insts, cycles, len(snap.Samples), snap.TotalCycles)
+	fmt.Printf("%10s %6s %8s %8s %8s %8s %8s  %-10s %s\n",
+		"cycles", "count", "issue", "exec", "sq_stall", "replay", "retire", "pc", "instruction")
+	for _, s := range snap.Top(top) {
+		ctx := disasm[s.PC]
+		if ctx == "" {
+			ctx = strings.ToLower(s.Op)
+		}
+		fmt.Printf("%10d %6d %8d %8d %8d %8d %8d  %#-10x %s\n",
+			s.Cycles(), s.Count, s.Issue, s.Execute, s.SQStall, s.Replay, s.Retire, s.PC, ctx)
+	}
+	if len(snap.Squashes) > 0 {
+		fmt.Println("\nsquashes:")
+		for _, q := range snap.Squashes {
+			fmt.Printf("%10d× %-8s window=%d penalty=%d insts=%d  %#x  %s\n",
+				q.Count, q.Kind, q.Window, q.Penalty, q.Insts, q.PC, disasm[q.PC])
+		}
+	}
+}
+
+func writeTo(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func setRegs(p *zenspec.Process, spec string) error {

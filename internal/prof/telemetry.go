@@ -4,13 +4,13 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
 	"sort"
 	"strings"
 	"sync"
+	"time"
 
 	"zenspec/internal/obs"
 )
@@ -29,15 +29,13 @@ import (
 // same mux: one is the machine under study, the other the simulator studying
 // it.
 type Telemetry struct {
-	mu         sync.Mutex
-	metrics    *obs.Metrics
-	profile    *Profile
-	done       int
-	total      int
-	current    string
-	gauges     map[string]func() float64
-	collectors map[string]func(io.Writer)
-	srv        *http.Server
+	mu      sync.Mutex
+	metrics *obs.Metrics
+	profile *Profile
+	done    int
+	total   int
+	current string
+	srv     *http.Server
 }
 
 // NewTelemetry returns an empty telemetry hub; wire in sources with
@@ -65,36 +63,6 @@ func (t *Telemetry) Progress(done, total int, id string) {
 	t.mu.Unlock()
 }
 
-// RegisterGauge publishes a named gauge on /metrics, sampled by calling fn at
-// scrape time (the name goes through the usual zenspec_ prefixing). This is
-// how the service plane exposes queue depth, lease counts and the like without
-// the telemetry hub knowing about jobs. Re-registering a name replaces its
-// sampler; fn must be safe for concurrent calls and is invoked without the
-// hub's lock held, so it may call back into the hub.
-func (t *Telemetry) RegisterGauge(name string, fn func() float64) {
-	t.mu.Lock()
-	if t.gauges == nil {
-		t.gauges = map[string]func() float64{}
-	}
-	t.gauges[name] = fn
-	t.mu.Unlock()
-}
-
-// RegisterCollector publishes a raw Prometheus-text collector on /metrics:
-// fn is called at scrape time (outside the hub's lock) and writes its own
-// fully-formed exposition lines — HELP/TYPE included — after the gauge and
-// obs sections. This is how the service plane mounts its zenspec_service_*
-// counter and histogram registry without the telemetry hub knowing about
-// jobs. Re-registering a name replaces its collector.
-func (t *Telemetry) RegisterCollector(name string, fn func(io.Writer)) {
-	t.mu.Lock()
-	if t.collectors == nil {
-		t.collectors = map[string]func(io.Writer){}
-	}
-	t.collectors[name] = fn
-	t.mu.Unlock()
-}
-
 // Handler returns the telemetry mux.
 func (t *Telemetry) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -110,6 +78,15 @@ func (t *Telemetry) Handler() http.Handler {
 	return mux
 }
 
+// readHeaderTimeout and idleTimeout bound how long a connection may sit
+// before sending a request's headers, or idle between requests. There is no
+// read or write timeout: a host CPU profile or trace streams for as long as
+// it was asked to. Variables only so tests can lower them.
+var (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // Serve binds addr (":0" picks a free port) and serves the telemetry mux in
 // the background. It returns the bound address; the server lives until the
 // process exits or Shutdown is called.
@@ -118,7 +95,7 @@ func (t *Telemetry) Serve(addr string) (net.Addr, error) {
 	if err != nil {
 		return nil, err
 	}
-	srv := &http.Server{Handler: t.Handler()}
+	srv := &http.Server{Handler: t.Handler(), ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	t.mu.Lock()
 	t.srv = srv
 	t.mu.Unlock()
@@ -160,38 +137,11 @@ func (t *Telemetry) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 	t.mu.Lock()
 	m := t.metrics
 	done, total := t.done, t.total
-	gnames := make([]string, 0, len(t.gauges))
-	for k := range t.gauges {
-		gnames = append(gnames, k)
-	}
-	sort.Strings(gnames)
-	gfns := make([]func() float64, len(gnames))
-	for i, k := range gnames {
-		gfns[i] = t.gauges[k]
-	}
-	cnames := make([]string, 0, len(t.collectors))
-	for k := range t.collectors {
-		cnames = append(cnames, k)
-	}
-	sort.Strings(cnames)
-	cfns := make([]func(io.Writer), len(cnames))
-	for i, k := range cnames {
-		cfns[i] = t.collectors[k]
-	}
 	t.mu.Unlock()
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	fmt.Fprintf(w, "# TYPE zenspec_trials_done gauge\nzenspec_trials_done %d\n", done)
 	fmt.Fprintf(w, "# TYPE zenspec_trials_total gauge\nzenspec_trials_total %d\n", total)
-	for i, k := range gnames {
-		n := promName(k)
-		// Sampled outside the lock: a gauge may consult the hub itself.
-		fmt.Fprintf(w, "# TYPE %s gauge\n%s %g\n", n, n, gfns[i]())
-	}
-	for _, fn := range cfns {
-		// Likewise outside the lock; collectors write their own exposition.
-		fn(w)
-	}
 	if m == nil {
 		return
 	}

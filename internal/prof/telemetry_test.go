@@ -3,10 +3,13 @@ package prof
 import (
 	"bytes"
 	"context"
+	"errors"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -102,61 +105,12 @@ func TestHostPprofMounted(t *testing.T) {
 	}
 }
 
-func TestRegisteredGauges(t *testing.T) {
-	tel := telemetryFixture()
-	tel.RegisterGauge("queue.depth", func() float64 { return 7 })
-	tel.RegisterGauge("leases.active", func() float64 { return 2 })
-	// Re-registration replaces the sampler.
-	tel.RegisterGauge("queue.depth", func() float64 { return 9 })
-	code, body := get(t, tel.Handler(), "/metrics")
-	if code != 200 {
-		t.Fatalf("status %d", code)
-	}
-	for _, want := range []string{
-		"# TYPE zenspec_queue_depth gauge",
-		"zenspec_queue_depth 9",
-		"zenspec_leases_active 2",
-	} {
-		if !strings.Contains(body, want) {
-			t.Errorf("metrics missing %q:\n%s", want, body)
-		}
-	}
-}
-
-// TestRegisteredCollectors: a collector's self-formatted exposition lines
-// appear on /metrics after the gauges, and re-registration replaces it.
-func TestRegisteredCollectors(t *testing.T) {
-	tel := NewTelemetry()
-	tel.RegisterCollector("svc", func(w io.Writer) {
-		io.WriteString(w, "# TYPE zenspec_service_demo_total counter\nzenspec_service_demo_total 1\n")
-	})
-	tel.RegisterCollector("svc", func(w io.Writer) {
-		io.WriteString(w, "# TYPE zenspec_service_demo_total counter\nzenspec_service_demo_total 2\n")
-	})
-	code, body := get(t, tel.Handler(), "/metrics")
-	if code != 200 {
-		t.Fatalf("status %d", code)
-	}
-	if !strings.Contains(body, "zenspec_service_demo_total 2") {
-		t.Errorf("collector output missing or stale:\n%s", body)
-	}
-	if strings.Contains(body, "zenspec_service_demo_total 1") {
-		t.Errorf("replaced collector still exporting:\n%s", body)
-	}
-}
-
 // TestShutdownDrainsInFlight is the graceful-degradation contract: Shutdown
 // lets a request already being served run to completion while refusing new
-// connections immediately.
+// connections immediately. The in-flight request is a one-second host CPU
+// profile, which also shows the server sets no write timeout.
 func TestShutdownDrainsInFlight(t *testing.T) {
 	tel := telemetryFixture()
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	tel.RegisterGauge("slow.gauge", func() float64 {
-		close(entered)
-		<-release
-		return 1
-	})
 	addr, err := tel.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -165,46 +119,55 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 
 	type result struct {
 		code int
-		body string
+		body []byte
 		err  error
 	}
 	inflight := make(chan result, 1)
 	go func() {
-		resp, err := http.Get(base + "/metrics")
+		resp, err := http.Get(base + "/debug/pprof/profile?seconds=1")
 		if err != nil {
 			inflight <- result{err: err}
 			return
 		}
 		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		inflight <- result{code: resp.StatusCode, body: string(body)}
+		inflight <- result{code: resp.StatusCode, body: body}
 	}()
-	<-entered // the request is now blocked inside the handler
+	// Wait until the request is inside the profile handler.
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if bytes.Contains(buf[:runtime.Stack(buf, true)], []byte("net/http/pprof.Profile(")) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("profile request never reached its handler")
+		}
+	}
 
 	done := make(chan error, 1)
 	go func() { done <- tel.Shutdown(context.Background()) }()
 
 	// The listener closes before the drain completes: new connections must
-	// fail while the in-flight scrape is still being served.
+	// fail while the in-flight profile is still being taken.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		_, err := net.DialTimeout("tcp", addr.String(), 100*time.Millisecond)
+		conn, err := net.DialTimeout("tcp", addr.String(), 100*time.Millisecond)
 		if err != nil {
 			break
 		}
+		conn.Close()
 		if time.Now().After(deadline) {
 			t.Fatal("listener still accepting connections after Shutdown")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	close(release)
 	r := <-inflight
 	if r.err != nil {
 		t.Fatalf("in-flight request killed by Shutdown: %v", r.err)
 	}
-	if r.code != 200 || !strings.Contains(r.body, "zenspec_slow_gauge 1") {
-		t.Fatalf("in-flight request not served to completion: status %d body %q", r.code, r.body)
+	if r.code != 200 || len(r.body) < 2 || r.body[0] != 0x1f || r.body[1] != 0x8b {
+		t.Fatalf("in-flight profile not served to completion: status %d, %d bytes", r.code, len(r.body))
 	}
 	if err := <-done; err != nil {
 		t.Fatalf("Shutdown: %v", err)
@@ -212,5 +175,30 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 	// Idempotent once drained.
 	if err := tel.Shutdown(context.Background()); err != nil {
 		t.Fatalf("second Shutdown: %v", err)
+	}
+}
+
+// TestServeClosesStalledConnection: a client that sends half a request line
+// and stops is disconnected once the header timeout passes.
+func TestServeClosesStalledConnection(t *testing.T) {
+	defer func(h, i time.Duration) { readHeaderTimeout, idleTimeout = h, i }(readHeaderTimeout, idleTimeout)
+	readHeaderTimeout, idleTimeout = 100*time.Millisecond, 100*time.Millisecond
+	tel := NewTelemetry()
+	addr, err := tel.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tel.Shutdown(context.Background())
+	conn, err := net.Dial("tcp", addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /metr"); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := io.ReadAll(conn); errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatal("stalled connection still open after the header timeout")
 	}
 }

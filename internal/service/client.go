@@ -107,6 +107,8 @@ func decodeErr(method, path, status string, raw []byte) error {
 		sentinel = ErrDraining
 	case "unknown_experiment":
 		sentinel = harness.ErrUnknownExperiment
+	case "too_large":
+		sentinel = ErrRecordTooLarge
 	}
 	if sentinel != nil {
 		return fmt.Errorf("%w: %s %s: %s: %s", sentinel, method, path, status, msg)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
 	"runtime"
@@ -16,7 +17,6 @@ import (
 	"zenspec/internal/harness"
 	"zenspec/internal/kernel"
 	"zenspec/internal/pipeline"
-	"zenspec/internal/prof"
 	"zenspec/internal/svcobs"
 )
 
@@ -124,7 +124,6 @@ type Meta struct {
 type Daemon struct {
 	cfg Config
 	reg *harness.Registry
-	tel *prof.Telemetry
 	obs *svcobs.Hub  // nil when observability is off; all uses are nil-safe
 	log *slog.Logger // never nil (discard logger when obs is off)
 	// epoch is this daemon incarnation's token prefix: a token minted before a
@@ -180,7 +179,6 @@ func Open(cfg Config) (*Daemon, error) {
 	d := &Daemon{
 		cfg:    cfg,
 		reg:    cfg.Registry,
-		tel:    prof.NewTelemetry(),
 		obs:    cfg.Obs,
 		log:    cfg.Obs.Logger(),
 		epoch:  time.Now().UnixNano(),
@@ -192,43 +190,9 @@ func Open(cfg Config) (*Daemon, error) {
 	}
 	d.cond = sync.NewCond(&d.mu)
 	d.initObs()
-	d.tel.RegisterGauge("service_queue_depth", func() float64 {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		n := 0
-		for _, id := range d.tab.order {
-			j := d.tab.jobs[id]
-			if !j.active() {
-				continue
-			}
-			for _, s := range j.shards {
-				if s.state == ShardPending {
-					n++
-				}
-			}
-		}
-		return float64(n)
-	})
-	d.tel.RegisterGauge("service_leases_active", func() float64 {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		return float64(len(d.leases))
-	})
-	d.tel.RegisterGauge("service_jobs_active", func() float64 {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		n := 0
-		for _, j := range d.tab.jobs {
-			if j.active() {
-				n++
-			}
-		}
-		return float64(n)
-	})
 	d.mu.Lock()
 	d.gcLocked()
 	d.mu.Unlock()
-	d.publishProgress()
 	d.monitor.Add(1)
 	go d.monitorLoop()
 	for i := 0; i < cfg.Workers; i++ {
@@ -250,9 +214,9 @@ func Open(cfg Config) (*Daemon, error) {
 }
 
 // initObs wires the observability plane: metric descriptions and volatility
-// marks, the zenspec_service_* collector on the telemetry /metrics endpoint,
-// and the journal's timing hooks. Every emission is nil-safe, so a daemon
-// opened without Config.Obs pays one nil check per event and nothing else.
+// marks, and the journal's timing hooks. Every emission is nil-safe, so a
+// daemon opened without Config.Obs pays one nil check per event and nothing
+// else.
 func (d *Daemon) initObs() {
 	m := d.obs.Metrics()
 	m.Describe("jobs_submitted_total", "Jobs accepted by Submit.")
@@ -282,7 +246,6 @@ func (d *Daemon) initObs() {
 	m.MarkVolatile("lease_rtt_ms", "fsync_ms", "checkpoint_ms",
 		"journal_rotations_total", "journal_checkpoints_total",
 		"readyz_draining_total", "watch_requests_total", "watch_fanout")
-	d.tel.RegisterCollector("service", m.WritePrometheus)
 
 	// Journal hooks run under d.mu (every append does); a submit record's
 	// job is not in the table yet, so prefer the record's own trace.
@@ -336,9 +299,33 @@ func (d *Daemon) TracePerfetto(id string) ([]byte, error) {
 	return d.obs.Traces().Perfetto(trace)
 }
 
-// Telemetry returns the daemon's telemetry hub (queue gauges pre-registered)
-// for mounting on the service mux.
-func (d *Daemon) Telemetry() *prof.Telemetry { return d.tel }
+// WriteMetrics writes the daemon's Prometheus text exposition (GET
+// /metrics): the live queue gauges, read under one hold of the lock so they
+// agree with each other, then the zenspec_service_* registry.
+func (d *Daemon) WriteMetrics(w io.Writer) {
+	d.mu.Lock()
+	pending, jobs, leases := 0, 0, len(d.leases)
+	for _, j := range d.tab.jobs {
+		if !j.active() {
+			continue
+		}
+		jobs++
+		for _, s := range j.shards {
+			if s.state == ShardPending {
+				pending++
+			}
+		}
+	}
+	d.mu.Unlock()
+	for _, g := range []struct {
+		name string
+		v    int
+	}{{"queue_depth", pending}, {"leases_active", leases}, {"jobs_active", jobs}} {
+		n := svcobs.Prefix + g.name
+		fmt.Fprintf(w, "# TYPE %s gauge\n%s %d\n", n, n, g.v)
+	}
+	d.obs.Metrics().WritePrometheus(w)
+}
 
 // Meta describes this daemon: API version, build, and the experiments its
 // registry can run.
@@ -437,7 +424,6 @@ func (d *Daemon) Submit(spec JobSpec) (string, error) {
 	d.log.Info("job submitted", "job", id, "trace", trace,
 		"shards", len(defs), "experiments", len(exps), "split", spec.Split)
 	d.compactLocked()
-	d.publishProgress()
 	d.cond.Broadcast()
 	return id, nil
 }
@@ -732,14 +718,13 @@ func (d *Daemon) Complete(token string, comp Completion) error {
 		d.resolveLocked(j, s, record{Type: recShardDone, Job: j.id, Shard: s.id, Partial: &pp})
 	}
 	d.compactLocked()
-	d.publishProgress()
 	d.cond.Broadcast()
 	return nil
 }
 
-// resolveLocked journals a terminal shard record, applies it, journals the
-// job's own terminal record when the shard was the last one out, and archives
-// old terminal jobs past the retention bound.
+// resolveLocked journals a terminal shard record and applies it; when the
+// shard was the last one out, the job has finalized and old terminal jobs
+// past the retention bound are archived.
 func (d *Daemon) resolveLocked(j *job, s *shard, rec record) {
 	wasActive := j.active()
 	err := d.jnl.append(rec)
@@ -760,11 +745,6 @@ func (d *Daemon) resolveLocked(j *job, s *shard, rec record) {
 	}
 	d.tab.apply(rec)
 	if wasActive && !j.active() {
-		term := record{Type: recJobDone, Job: j.id}
-		if j.state == JobFailed {
-			term = record{Type: recJobFailed, Job: j.id, Error: j.err}
-		}
-		d.jnl.append(term)
 		d.obs.Traces().End(j.trace, svcobs.ActorDaemon, "job", "job "+j.id,
 			map[string]any{"state": j.state})
 		if j.state == JobFailed {
@@ -886,27 +866,6 @@ func (d *Daemon) anyBackoffReady(now time.Time) bool {
 		}
 	}
 	return false
-}
-
-// publishProgress pushes aggregate shard progress to the telemetry plane.
-// Callers hold d.mu (or, in Open, exclusive access).
-func (d *Daemon) publishProgress() {
-	done, total := 0, 0
-	current := ""
-	for _, id := range d.tab.order {
-		j := d.tab.jobs[id]
-		dn, fl, tot := j.counts()
-		done += dn + fl
-		total += tot
-		if j.active() {
-			for _, sid := range j.order {
-				if j.shards[sid].state == ShardRunning && current == "" {
-					current = j.id + "/" + sid
-				}
-			}
-		}
-	}
-	d.tel.Progress(done, total, current)
 }
 
 // Ready reports whether the daemon is accepting submissions (the /readyz

@@ -65,7 +65,7 @@ func spinRegistry(id string, gate *atomic.Int64) *harness.Registry {
 	return reg
 }
 
-func waitStatus(t *testing.T, d *Daemon, id string, pred func(JobStatus) bool, what string) JobStatus {
+func waitStatus(t testing.TB, d *Daemon, id string, pred func(JobStatus) bool, what string) JobStatus {
 	t.Helper()
 	deadline := time.Now().Add(120 * time.Second)
 	for {

@@ -31,7 +31,8 @@ var (
 	// before the /v1 shard layout; such a journal is refused, not replayed.
 	ErrJournalVersion = errors.New("service: unsupported journal version")
 	// ErrRecordTooLarge is returned when a journal record's payload exceeds
-	// the size the journal reader accepts; writing it would lose it, and
-	// every record after it, on the next open.
+	// the size the journal reader accepts (writing it would lose it, and
+	// every record after it, on the next open), and for a request body over
+	// the same limit (413 too_large on the wire).
 	ErrRecordTooLarge = errors.New("service: journal record too large")
 )

@@ -43,17 +43,13 @@ import (
 
 // Record types. A submit record carries the full spec plus the resolved
 // shard list (so replay does not depend on the live registry); shard records
-// carry the completed PartialReport fragment or the terminal error; job
-// records mark the derived terminal state (redundant with the shard records,
-// kept for journal legibility — apply tolerates their absence and their
-// duplication alike); an archive record retires a terminal job from the
-// table, so the next compaction drops it from disk.
+// carry the completed PartialReport fragment or the terminal error, from
+// which replay derives the job's own state; an archive record retires a
+// terminal job from the table, so the next compaction drops it from disk.
 const (
 	recSubmit      = "submit"
 	recShardDone   = "shard_done"
 	recShardFailed = "shard_failed"
-	recJobDone     = "job_done"
-	recJobFailed   = "job_failed"
 	recJobArchive  = "job_archive"
 )
 
@@ -223,6 +219,10 @@ func (j *journal) segments() int { return len(j.sealed) + 1 }
 // without error — the caller truncates there (or, for sealed segments,
 // simply moves on). Only real I/O errors are returned.
 func scanRecords(f *os.File) ([]record, int64, error) {
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, 0, err
+	}
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return nil, 0, err
 	}
@@ -242,7 +242,10 @@ func scanRecords(f *os.File) ([]record, int64, error) {
 		}
 		n := binary.LittleEndian.Uint32(hdr[4:8])
 		sum := binary.LittleEndian.Uint32(hdr[8:12])
-		if int64(n) > int64(maxRecordSize) {
+		// A length past the limit or the end of the file is corruption or a
+		// torn tail; refusing it here also keeps a damaged length field from
+		// sizing the payload buffer.
+		if int64(n) > int64(maxRecordSize) || off+int64(len(hdr))+int64(n) > fi.Size() {
 			return recs, off, nil
 		}
 		payload := make([]byte, n)

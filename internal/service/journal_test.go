@@ -1,12 +1,17 @@
 package service
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"zenspec/internal/harness"
 )
@@ -90,7 +95,7 @@ func TestJournalTruncatedTail(t *testing.T) {
 		t.Fatalf("recovered %d records from torn journal, want 2", len(got))
 	}
 	// The tail was healed: appending works and a clean reopen sees 3 records.
-	if err := j.append(record{Type: recJobDone, Job: "job-1"}); err != nil {
+	if err := j.append(record{Type: recJobArchive, Job: "job-1"}); err != nil {
 		t.Fatal(err)
 	}
 	j.close()
@@ -99,7 +104,7 @@ func TestJournalTruncatedTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j.close()
-	if len(got) != 3 || got[2].Type != recJobDone {
+	if len(got) != 3 || got[2].Type != recJobArchive {
 		t.Fatalf("healed journal replayed %d records: %+v", len(got), got)
 	}
 }
@@ -196,6 +201,34 @@ func TestJournalRejectsOversizeRecord(t *testing.T) {
 	}
 }
 
+// TestJournalLengthPastEOF: a damaged length field claiming more bytes than
+// the segment holds ends the scan at the intact prefix without sizing a
+// buffer from the claimed length.
+func TestJournalLengthPastEOF(t *testing.T) {
+	dir := t.TempDir()
+	hdr := make([]byte, 12)
+	copy(hdr, journalMagic[:])
+	binary.LittleEndian.PutUint32(hdr[4:8], uint32(maxRecordSize))
+	seg := append(frames(t, testRecords()), hdr...)
+	if err := os.WriteFile(filepath.Join(dir, segName(1)), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	j, got, err := openJournal(dir, 0)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.close()
+	if len(got) != len(testRecords()) {
+		t.Fatalf("recovered %d records, want %d", len(got), len(testRecords()))
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 16<<20 {
+		t.Fatalf("scan allocated %d bytes for a %d-byte segment", n, len(seg))
+	}
+}
+
 // TestJournalSegmentRotation: sustained appends past the size limit seal
 // segments and start new ones; a reopen replays every record across the
 // boundary in order.
@@ -273,7 +306,7 @@ func TestJournalCorruptSealedTail(t *testing.T) {
 	if got[len(got)-1].Shard != tail.Shard {
 		t.Fatalf("later segments' records lost: last replayed %q, want %q", got[len(got)-1].Shard, tail.Shard)
 	}
-	if err := j.append(record{Type: recJobDone, Job: "job-1"}); err != nil {
+	if err := j.append(record{Type: recJobArchive, Job: "job-1"}); err != nil {
 		t.Fatal(err)
 	}
 	j.close()
@@ -392,4 +425,137 @@ func TestApplyJobArchive(t *testing.T) {
 	if recs := tab.records(); len(recs) != 0 {
 		t.Fatalf("archived job still in snapshot: %+v", recs)
 	}
+}
+
+// parentTerminalRecords are the job_done and job_failed records journals
+// written before job states were derived still carry: the job's terminal
+// state, redundant with its shard records.
+func parentTerminalRecords() []record {
+	return []record{
+		{Type: "job_failed", Job: "job-1", Error: "shard b[0:4]: boom"},
+		{Type: "job_done", Job: "job-2"},
+	}
+}
+
+// TestReplayParentTerminalRecords: a journal carrying job_done and
+// job_failed records opens to the same job states and errors as its shard
+// records alone give.
+func TestReplayParentTerminalRecords(t *testing.T) {
+	shardsOnly := append(testRecords(),
+		record{Type: recSubmit, Job: "job-2", Spec: &JobSpec{Seed: 7}, Defs: []ShardRef{{Exp: "a"}}},
+		record{Type: recShardDone, Job: "job-2", Shard: "a", Partial: &harness.PartialReport{Exp: "a", WallMS: 3}},
+	)
+	open := func(recs []record) []JobStatus {
+		dir := t.TempDir()
+		writeTestJournal(t, dir, recs)
+		d, err := Open(Config{Dir: dir, Registry: fakeRegistry("a", "b"), Workers: 0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.Kill()
+		return d.Jobs()
+	}
+	want := open(shardsOnly)
+	got := open(append(shardsOnly, parentTerminalRecords()...))
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("parent-format journal replayed to\n%+v\nwant\n%+v", got, want)
+	}
+	if len(got) != 2 || got[0].State != JobFailed || got[0].Error != "shard b[0:4]: boom" ||
+		got[1].State != JobDone || got[1].Error != "" {
+		t.Fatalf("replayed jobs %+v, want job-1 failed by shard b[0:4] and job-2 done", got)
+	}
+}
+
+// splitJobJournal runs a split job on a real daemon and returns its journal
+// segment as written, uncompacted.
+func splitJobJournal(f *testing.F) []byte {
+	dir := f.TempDir()
+	d, err := Open(Config{Dir: dir, Registry: rangeRegistry(12), Workers: 2, Lease: 10 * time.Second})
+	if err != nil {
+		f.Fatal(err)
+	}
+	id, err := d.Submit(JobSpec{Seed: 11, Split: 4})
+	if err != nil {
+		f.Fatal(err)
+	}
+	waitStatus(f, d, id, JobStatus.Terminal, "split job drain")
+	d.Kill()
+	raw, err := os.ReadFile(filepath.Join(dir, segName(1)))
+	if err != nil {
+		f.Fatal(err)
+	}
+	return raw
+}
+
+func frames(tb testing.TB, recs []record) []byte {
+	var out []byte
+	for _, rec := range recs {
+		b, err := frame(rec)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out = append(out, b...)
+	}
+	return out
+}
+
+// replaySegment opens seg as a journal's only segment and folds its records
+// into a fresh table. ok is false when the journal refuses the segment as a
+// pre-/v1 layout.
+func replaySegment(t *testing.T, seg []byte) (tab *jobTable, n int, ok bool) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, segName(1)), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, recs, err := openJournal(dir, 0)
+	if errors.Is(err, ErrJournalVersion) {
+		return nil, 0, false
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.close()
+	tab = newJobTable()
+	for _, rec := range recs {
+		tab.apply(rec)
+	}
+	return tab, len(recs), true
+}
+
+func jobViews(t *testing.T, tab *jobTable) []byte {
+	views := make([]JobStatus, 0, len(tab.order))
+	for _, id := range tab.order {
+		views = append(views, tab.jobs[id].status())
+	}
+	b, err := json.Marshal(views)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// FuzzJournalReplay: any bytes, read as a journal segment, replay without a
+// panic, and the table's snapshot is a fixed point: replaying records()
+// through the journal reader gives identical job views.
+func FuzzJournalReplay(f *testing.F) {
+	split := splitJobJournal(f)
+	f.Add(split)
+	f.Add(append(split, frames(f, []record{{Type: "job_done", Job: "job-1"}})...))
+	f.Add(frames(f, append(testRecords(), parentTerminalRecords()...)))
+	f.Add(frames(f, append(testRecords(), record{Type: recJobArchive, Job: "job-1"})))
+	f.Add([]byte("ZSJ1 not a frame"))
+	f.Fuzz(func(t *testing.T, seg []byte) {
+		tab, _, ok := replaySegment(t, seg)
+		if !ok {
+			return
+		}
+		snap := tab.records()
+		again, n, ok := replaySegment(t, frames(t, snap))
+		if !ok || n != len(snap) {
+			t.Fatalf("snapshot of %d records replayed %d (ok %v)", len(snap), n, ok)
+		}
+		if a, b := jobViews(t, tab), jobViews(t, again); !bytes.Equal(a, b) {
+			t.Fatalf("snapshot replay is not a fixed point:\n%s\nvs\n%s", a, b)
+		}
+	})
 }

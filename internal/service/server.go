@@ -7,14 +7,14 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"time"
 
 	"zenspec/internal/harness"
 )
 
 // Server is the zenspecd HTTP front end: the versioned /v1 JSON job API
-// mounted beside the daemon's telemetry plane (Prometheus /metrics with the
-// queue gauges, live /progress, /profile, host pprof).
+// beside the probes, Prometheus /metrics and the host's pprof.
 //
 //	GET  /v1/meta                         API version, build, experiment list
 //	POST /v1/jobs                         submit a JobSpec, returns {"id": "job-N"}
@@ -32,9 +32,12 @@ import (
 //	POST /v1/leases/{token}/complete      hand back a shard ({"partial", "error", "overrun"})
 //	GET  /healthz                         liveness (200 while the process serves)
 //	GET  /readyz                          readiness (503 once draining)
+//	GET  /metrics                         queue gauges and the zenspec_service_* registry
+//	     /debug/pprof/                    the host process's Go profiler
 //
 // Errors come back as {"error": "...", "code": "..."} JSON bodies; Client
-// maps the code to the package's typed sentinels.
+// maps the code to the package's typed sentinels. Request bodies are capped
+// at the journal's record limit (413 too_large beyond it).
 type Server struct {
 	d   *Daemon
 	srv *http.Server
@@ -71,9 +74,26 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/leases", s.handleLease)
 	mux.HandleFunc("POST /v1/leases/{token}/heartbeat", s.handleHeartbeat)
 	mux.HandleFunc("POST /v1/leases/{token}/complete", s.handleComplete)
-	mux.Handle("/", s.d.Telemetry().Handler())
+	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+		s.d.WriteMetrics(w)
+	})
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
 }
+
+// readHeaderTimeout and idleTimeout bound how long a connection may sit
+// before sending a request's headers, or idle between requests. There is
+// deliberately no read or write timeout: watch streams and lease long-polls
+// outlive any fixed bound. Variables only so tests can lower them.
+var (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
 
 // Serve binds addr (":0" picks a free port) and serves in the background.
 func (s *Server) Serve(addr string) (net.Addr, error) {
@@ -81,7 +101,7 @@ func (s *Server) Serve(addr string) (net.Addr, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.srv = &http.Server{Handler: s.Handler()}
+	s.srv = &http.Server{Handler: s.Handler(), ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	go s.srv.Serve(ln)
 	return ln.Addr(), nil
 }
@@ -124,8 +144,28 @@ func (s *Server) fail(w http.ResponseWriter, err error) {
 		status, code = http.StatusNotFound, "unknown_experiment"
 	case errors.Is(err, ErrDraining):
 		status, code = http.StatusServiceUnavailable, "draining"
+	case errors.Is(err, ErrRecordTooLarge):
+		status, code = http.StatusRequestEntityTooLarge, "too_large"
 	}
 	writeError(w, status, code, err.Error())
+}
+
+// decode reads a JSON request body into v. The body is capped at the
+// journal's record limit, so the read side refuses what the write side could
+// not store: an oversize body fails as ErrRecordTooLarge (413), a malformed
+// one as 400. It reports whether the handler should go on.
+func (s *Server) decode(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, int64(maxRecordSize))).Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooLarge):
+		s.fail(w, fmt.Errorf("%w: %s body over %d bytes", ErrRecordTooLarge, what, tooLarge.Limit))
+	default:
+		writeError(w, http.StatusBadRequest, "bad_request", "bad "+what+": "+err.Error())
+	}
+	return false
 }
 
 func writeJSON(w http.ResponseWriter, v any) {
@@ -141,8 +181,7 @@ func (s *Server) handleMeta(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "bad spec: "+err.Error())
+	if !s.decode(w, r, "spec", &spec) {
 		return
 	}
 	id, err := s.d.Submit(spec)
@@ -183,8 +222,7 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 		Worker string `json:"worker"`
 		WaitMS int64  `json:"wait_ms"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "bad lease request: "+err.Error())
+	if !s.decode(w, r, "lease request", &req) {
 		return
 	}
 	wait := time.Duration(req.WaitMS) * time.Millisecond
@@ -211,8 +249,7 @@ func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		Done  int `json:"done"`
 		Total int `json:"total"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "bad heartbeat: "+err.Error())
+	if !s.decode(w, r, "heartbeat", &req) {
 		return
 	}
 	if err := s.d.Heartbeat(r.PathValue("token"), req.Done, req.Total); err != nil {
@@ -224,8 +261,7 @@ func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 	var req Completion
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "bad completion: "+err.Error())
+	if !s.decode(w, r, "completion", &req) {
 		return
 	}
 	if err := s.d.Complete(r.PathValue("token"), req); err != nil {

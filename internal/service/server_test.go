@@ -7,7 +7,9 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"net"
 	"net/http"
+	"os"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -225,5 +227,141 @@ func TestWaitPollsThroughOutage(t *testing.T) {
 	// API-level errors still fail fast: an unknown job is typed, not a retry.
 	if _, err := c.Wait(context.Background(), "ghost", time.Millisecond); !errors.Is(err, ErrJobNotFound) {
 		t.Fatalf("unknown-job wait error = %v", err)
+	}
+}
+
+// TestServerTimeouts: a client stalled halfway through its request line is
+// disconnected once the header timeout passes, while a watch stream that
+// outlives both timeouts still runs to its terminal line.
+func TestServerTimeouts(t *testing.T) {
+	defer func(h, i time.Duration) { readHeaderTimeout, idleTimeout = h, i }(readHeaderTimeout, idleTimeout)
+	readHeaderTimeout, idleTimeout = 100*time.Millisecond, 100*time.Millisecond
+	reg := harness.NewRegistry()
+	reg.Register(harness.Experiment{
+		ID: "slow", Title: "slow", Paper: "test fixture", Tags: []string{"fake"},
+		Run: func(harness.Ctx) harness.Report {
+			time.Sleep(400 * time.Millisecond) // four header timeouts
+			var r harness.Report
+			r.Add("ok", 1, 1, 1)
+			return r
+		},
+	})
+	d, err := Open(Config{Dir: t.TempDir(), Registry: reg, Workers: 1, Lease: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(d)
+	addr, err := srv.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown(context.Background())
+
+	conn, err := net.Dial("tcp", addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /heal"); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := io.ReadAll(conn); errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatal("stalled connection still open after the header timeout")
+	}
+
+	id, err := d.Submit(JobSpec{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	watch, err := http.Get("http://" + addr.String() + "/v1/jobs/" + id + "/watch")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer watch.Body.Close()
+	var last JobStatus
+	for sc := bufio.NewScanner(watch.Body); sc.Scan(); {
+		if err := json.Unmarshal(sc.Bytes(), &last); err != nil {
+			t.Fatalf("watch line: %v (%q)", err, sc.Text())
+		}
+	}
+	if last.State != JobDone {
+		t.Fatalf("watch stream ended at %+v, want the done line", last)
+	}
+}
+
+// TestOversizeSubmitTooLarge: a submit body over the journal's record limit
+// is refused as a typed 413 before it is decoded, over the wire and in
+// process alike.
+func TestOversizeSubmitTooLarge(t *testing.T) {
+	defer func(n int) { maxRecordSize = n }(maxRecordSize)
+	maxRecordSize = 2 << 10
+	d, err := Open(Config{Dir: t.TempDir(), Registry: fakeRegistry("a"), Workers: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(d)
+	addr, err := srv.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown(context.Background())
+	// A valid plan name padded past the limit: only its size is wrong.
+	spec := JobSpec{Seed: 1, Faults: "none" + strings.Repeat(" ", maxRecordSize)}
+	c := &Client{Base: "http://" + addr.String()}
+	if _, err := c.Submit(spec); !errors.Is(err, ErrRecordTooLarge) || !strings.Contains(err.Error(), "413") {
+		t.Fatalf("oversize submit over the wire: err = %v, want a 413 ErrRecordTooLarge", err)
+	}
+	if _, err := d.Submit(spec); !errors.Is(err, ErrRecordTooLarge) {
+		t.Fatalf("oversize submit in process: err = %v, want ErrRecordTooLarge", err)
+	}
+	if jobs := d.Jobs(); len(jobs) != 0 {
+		t.Fatalf("oversize submit left jobs behind: %+v", jobs)
+	}
+}
+
+// TestOversizeRemoteCompletionFailsShard: a remote worker whose completion
+// body is over the record limit gets a 413 and fails the shard with that
+// error, instead of abandoning it to be re-leased forever.
+func TestOversizeRemoteCompletionFailsShard(t *testing.T) {
+	defer func(n int) { maxRecordSize = n }(maxRecordSize)
+	maxRecordSize = 2 << 10
+	reg := harness.NewRegistry()
+	reg.Register(harness.Experiment{
+		ID: "big", Title: "oversize report", Paper: "test fixture",
+		Run: func(harness.Ctx) harness.Report {
+			return harness.Report{Detail: strings.Repeat("x", maxRecordSize)}
+		},
+	})
+	d, err := Open(Config{Dir: t.TempDir(), Registry: reg, Workers: 0, Lease: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(d)
+	addr, err := srv.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown(context.Background())
+	id, err := d.Submit(JobSpec{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	w := NewWorker(&Client{Base: "http://" + addr.String()}, WorkerConfig{
+		Name: "remote", Registry: reg, Poll: 20 * time.Millisecond,
+	})
+	stopped := make(chan struct{})
+	go func() {
+		defer close(stopped)
+		w.Run(ctx)
+	}()
+	st := waitStatus(t, d, id, JobStatus.Terminal, "oversize completion")
+	cancel()
+	<-stopped
+	if st.State != JobFailed || !strings.Contains(st.Shards[0].Error, ErrRecordTooLarge.Error()) ||
+		!strings.Contains(st.Shards[0].Error, "413") || st.Shards[0].Attempt != 0 {
+		t.Fatalf("job finished %+v, want its shard failed by the 413", st)
 	}
 }

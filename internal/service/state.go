@@ -107,11 +107,6 @@ type shard struct {
 	trialsDone  int
 	trialsTotal int
 	err         string
-	// wallMS is the completed shard's host wall clock, lifted from its
-	// journaled PartialReport — the raw material of the per-experiment timing
-	// distributions a split-factor scheduler consumes. Host-dependent, so it
-	// never feeds the merged report.
-	wallMS float64
 	// enqueuedAt is when the shard last became pending (submission, retry,
 	// revocation — or journal replay, where the reopen moment is the truthful
 	// start of its wait); it feeds the queue-wait observability only.
@@ -216,17 +211,6 @@ type ShardStatus struct {
 	WallMS float64 `json:"wall_ms,omitempty"`
 }
 
-// ExpTiming summarizes one experiment's completed-shard wall-clock
-// distribution within a job — the observed-timing surface a split-factor
-// scheduler reads back to size the next submission's Split.
-type ExpTiming struct {
-	Shards  int     `json:"shards"`
-	TotalMS float64 `json:"total_ms"`
-	MinMS   float64 `json:"min_ms"`
-	MaxMS   float64 `json:"max_ms"`
-	MeanMS  float64 `json:"mean_ms"`
-}
-
 // JobStatus is the public job view served by GET /v1/jobs/{id}.
 type JobStatus struct {
 	ID    string  `json:"id"`
@@ -239,11 +223,7 @@ type JobStatus struct {
 	Failed int           `json:"failed,omitempty"`
 	Total  int           `json:"total"`
 	Shards []ShardStatus `json:"shards"`
-	// Timings is the per-experiment wall-clock distribution over completed
-	// shards, persisted via the journaled shard fragments (it survives
-	// restarts) and keyed by experiment ID.
-	Timings map[string]ExpTiming `json:"timings,omitempty"`
-	Error   string               `json:"error,omitempty"`
+	Error  string        `json:"error,omitempty"`
 }
 
 func (j *job) status() JobStatus {
@@ -254,27 +234,14 @@ func (j *job) status() JobStatus {
 	}
 	for _, id := range j.order {
 		s := j.shards[id]
-		st.Shards = append(st.Shards, ShardStatus{
+		ss := ShardStatus{
 			ID: s.id, State: s.state, Attempt: s.attempt,
 			TrialsDone: s.trialsDone, TrialsTotal: s.trialsTotal, Error: s.err,
-			WallMS: s.wallMS,
-		})
-		if s.state == ShardDone {
-			if st.Timings == nil {
-				st.Timings = map[string]ExpTiming{}
-			}
-			t := st.Timings[s.def.Exp]
-			if t.Shards == 0 || s.wallMS < t.MinMS {
-				t.MinMS = s.wallMS
-			}
-			if s.wallMS > t.MaxMS {
-				t.MaxMS = s.wallMS
-			}
-			t.Shards++
-			t.TotalMS += s.wallMS
-			t.MeanMS = t.TotalMS / float64(t.Shards)
-			st.Timings[s.def.Exp] = t
 		}
+		if p := j.partials[id]; p != nil {
+			ss.WallMS = p.WallMS
+		}
+		st.Shards = append(st.Shards, ss)
 	}
 	return st
 }
@@ -297,9 +264,11 @@ func newJobTable() *jobTable {
 	return &jobTable{jobs: map[string]*job{}}
 }
 
-// apply folds one journal record into the table. Unknown job or shard
-// references (a journal from a newer layout, or records orphaned by manual
-// edits) are skipped rather than fatal: the journal heals forward.
+// apply folds one journal record into the table. A job's state is never
+// journaled: finalize derives it from the shard records. Unknown record
+// types (such as the job_done and job_failed records older daemons wrote)
+// and unknown job or shard references are skipped rather than fatal: the
+// journal heals forward.
 func (t *jobTable) apply(rec record) {
 	switch rec.Type {
 	case recSubmit:
@@ -353,7 +322,6 @@ func (t *jobTable) apply(rec record) {
 		}
 		s.state = ShardDone
 		s.lease = ""
-		s.wallMS = p.WallMS
 		j.partials[rec.Shard] = p
 		if j.state == JobQueued {
 			j.state = JobRunning
@@ -375,17 +343,6 @@ func (t *jobTable) apply(rec record) {
 			j.state = JobRunning
 		}
 		j.finalize()
-	case recJobDone:
-		if j := t.jobs[rec.Job]; j != nil && j.active() {
-			j.state = JobDone
-		}
-	case recJobFailed:
-		if j := t.jobs[rec.Job]; j != nil && j.active() {
-			j.state = JobFailed
-			if j.err == "" {
-				j.err = rec.Error
-			}
-		}
 	case recJobArchive:
 		j := t.jobs[rec.Job]
 		if j == nil || j.active() {
@@ -422,12 +379,6 @@ func (t *jobTable) records() []record {
 			case ShardFailed:
 				out = append(out, record{Type: recShardFailed, Job: j.id, Shard: sid, Error: s.err})
 			}
-		}
-		switch j.state {
-		case JobDone:
-			out = append(out, record{Type: recJobDone, Job: j.id})
-		case JobFailed:
-			out = append(out, record{Type: recJobFailed, Job: j.id, Error: j.err})
 		}
 	}
 	return out

@@ -242,13 +242,19 @@ func (w *Worker) execute(ctx context.Context, l *Lease) {
 
 // complete hands the outcome back, retrying transient failures so one
 // dropped connection does not discard a finished shard. ErrLeaseNotFound and
-// ErrDraining are terminal: the result has no home anymore.
+// ErrDraining are terminal: the result has no home anymore. ErrRecordTooLarge
+// is terminal too, since a rerun yields the same bytes: the shard is failed
+// with the error instead of being re-leased forever.
 func (w *Worker) complete(ctx context.Context, l *Lease, c Completion) {
 	bo := fault.Backoff{Base: w.cfg.Backoff, Max: w.cfg.MaxBackoff, Key: "complete/" + w.cfg.Name}
 	for attempt := 0; attempt < 5; attempt++ {
 		err := w.src.Complete(l.Token, c)
 		if err == nil || errors.Is(err, ErrLeaseNotFound) || errors.Is(err, ErrDraining) {
 			return
+		}
+		if errors.Is(err, ErrRecordTooLarge) && c.Partial != nil {
+			c = Completion{Error: err.Error()}
+			continue
 		}
 		if !sleepCtx(ctx, bo.Delay(attempt)) {
 			return

@@ -182,7 +182,7 @@ func fmtFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
 // WritePrometheus writes the registry as Prometheus text exposition, every
 // name under the zenspec_service_ prefix, sorted for a stable scrape layout.
-// It is the collector the daemon mounts on prof.Telemetry's /metrics.
+// The daemon's /metrics serves it after the live queue gauges.
 func (r *Registry) WritePrometheus(w io.Writer) {
 	if r == nil {
 		return

@@ -37,6 +37,13 @@ echo "== speccheck summary-equivalence fuzz smoke =="
 go test -run=FuzzSummaryEquivalence -fuzz=FuzzSummaryEquivalence \
     -fuzztime 10s ./internal/speccheck
 
+echo "== zenspecd journal-replay fuzz smoke =="
+# Ten seconds of arbitrary journal segments through the WAL reader and the
+# job table: no panic, and replaying the table's own snapshot is a fixed
+# point.
+go test -run=FuzzJournalReplay -fuzz=FuzzJournalReplay \
+    -fuzztime 10s ./internal/service
+
 echo "== core microbenchmark smoke (allocation invariants) =="
 # One short pass over the per-cycle hot-path benchmarks. The grep gates the
 # zero-allocation invariants at the benchmark level too (the dedicated
