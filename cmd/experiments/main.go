@@ -41,7 +41,6 @@ func run() int {
 	profile := flag.Bool("profile", false, "collect per-experiment cycle-attribution profiles into each report")
 	profileOut := flag.String("profile-out", "", "write the suite-aggregate profile as pprof protobuf to this path (implies -profile; read with `go tool pprof`)")
 	flame := flag.String("flame", "", "write the suite-aggregate profile as folded flamegraph text to this path (implies -profile)")
-	serve := flag.String("serve", "", "serve live telemetry on this address while the suite runs: /metrics (Prometheus), /progress, /profile (pprof), /debug/pprof (host)")
 	cpuprofile := flag.String("cpuprofile", "", "write a host CPU profile of this process to the given path")
 	memprofile := flag.String("memprofile", "", "write a host heap profile of this process to the given path")
 	tracePath := flag.String("trace", "", "record a Perfetto/Chrome trace of the run to this path (forces -parallel 1; load at ui.perfetto.dev)")
@@ -105,25 +104,6 @@ func run() int {
 		*profile = true
 	}
 	cfg := zenspec.Config{Seed: *seed, Parallelism: *parallel, Faults: plan, Metrics: *metrics, Profile: *profile}
-	if *serve != "" {
-		// Live telemetry: a session-wide metrics registry and profiler feed
-		// the endpoint while the suite runs (both fold commutatively, so they
-		// do not perturb determinism), and the harness progress callback
-		// drives the gauges.
-		tel := zenspec.NewTelemetry()
-		liveMetrics := zenspec.NewMetricsObserver()
-		liveProfile := zenspec.NewProfiler()
-		tel.SetMetrics(liveMetrics)
-		tel.SetProfile(liveProfile)
-		cfg.Observer = zenspec.Observers(cfg.Observer, liveMetrics, liveProfile)
-		cfg.Progress = tel.Progress
-		addr, err := tel.Serve(*serve)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			return 2
-		}
-		fmt.Fprintf(os.Stderr, "experiments: telemetry on http://%s (/metrics /progress /profile /debug/pprof)\n", addr)
-	}
 	var rec *zenspec.TraceRecorder
 	if *tracePath != "" {
 		classes, err := parseClasses(*traceClasses)

@@ -14,6 +14,7 @@ package fault
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
@@ -26,6 +27,9 @@ import (
 
 // Plan describes one fault regime. The zero value injects nothing. Rates are
 // per run boundary (machine faults) or per attempt (trial faults), in [0, 1].
+// Parse, the entry point for plans from outside the process, also bounds
+// TimerJitter to [0, 2^20] cycles (maxTimerJitter) and CacheEvictLines to
+// [0, 4096] (maxCacheEvictLines), and fails with ErrInvalidPlan otherwise.
 type Plan struct {
 	// Seed decorrelates the injection streams from the experiment seed; two
 	// plans differing only in Seed inject at different points.
@@ -64,6 +68,20 @@ type Plan struct {
 	// as a deadline error without actually sleeping).
 	TrialOverrunRate float64 `json:"trial_overrun_rate,omitempty"`
 }
+
+// Caps Parse enforces on a plan's magnitudes, far above the harsh preset
+// (±12 cycles, 4 lines). A jitter past maxTimerJitter drowns every timing
+// signal anyway and, near 2^62, overflows the RDPRU noise draw; more than
+// maxCacheEvictLines flushes per event only makes each run boundary slower.
+const (
+	maxTimerJitter     = 1 << 20
+	maxCacheEvictLines = 1 << 12
+)
+
+// ErrInvalidPlan is wrapped into every error Parse returns: an unknown
+// preset, malformed JSON, a rate outside [0, 1], or a negative or over-cap
+// magnitude. Test with errors.Is.
+var ErrInvalidPlan = errors.New("fault: invalid plan")
 
 // Default is the documented default intensity: the strongest plan at which
 // the STL and CTL attacks still recover 100% of the secret through
@@ -141,11 +159,41 @@ func Parse(s string) (Plan, error) {
 		dec := json.NewDecoder(strings.NewReader(t))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&p); err != nil {
-			return Plan{}, fmt.Errorf("fault: invalid plan JSON: %w", err)
+			return Plan{}, fmt.Errorf("%w: JSON: %v", ErrInvalidPlan, err)
+		}
+		if err := p.check(); err != nil {
+			return Plan{}, err
 		}
 		return p, nil
 	}
-	return Plan{}, fmt.Errorf("fault: unknown plan %q (want none|mild|default|harsh or a JSON object)", s)
+	return Plan{}, fmt.Errorf("%w: unknown plan %q (want none|mild|default|harsh or a JSON object)", ErrInvalidPlan, s)
+}
+
+// check reports the first field of p outside the bounds Parse enforces.
+func (p Plan) check() error {
+	for _, r := range []struct {
+		name string
+		v    float64
+	}{
+		{"psfp_evict_rate", p.PSFPEvictRate},
+		{"ssbp_flip_rate", p.SSBPFlipRate},
+		{"spurious_train_rate", p.SpuriousTrainRate},
+		{"cache_evict_rate", p.CacheEvictRate},
+		{"trial_error_rate", p.TrialErrorRate},
+		{"trial_panic_rate", p.TrialPanicRate},
+		{"trial_overrun_rate", p.TrialOverrunRate},
+	} {
+		if !(r.v >= 0 && r.v <= 1) {
+			return fmt.Errorf("%w: %s %v outside [0, 1]", ErrInvalidPlan, r.name, r.v)
+		}
+	}
+	if p.TimerJitter < 0 || p.TimerJitter > maxTimerJitter {
+		return fmt.Errorf("%w: timer_jitter %d outside [0, %d]", ErrInvalidPlan, p.TimerJitter, maxTimerJitter)
+	}
+	if p.CacheEvictLines < 0 || p.CacheEvictLines > maxCacheEvictLines {
+		return fmt.Errorf("%w: cache_evict_lines %d outside [0, %d]", ErrInvalidPlan, p.CacheEvictLines, maxCacheEvictLines)
+	}
+	return nil
 }
 
 func (p Plan) String() string {

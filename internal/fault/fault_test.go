@@ -1,6 +1,8 @@
 package fault
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -34,6 +36,69 @@ func TestParsePresets(t *testing.T) {
 	if _, err := Parse(`{"no_such_knob": 1}`); err == nil {
 		t.Fatal("unknown JSON field accepted")
 	}
+}
+
+// TestParseBounds: plans from outside the process are bounded. Out-of-range
+// rates and over-cap magnitudes (an RDPRU jitter that overflows the noise
+// draw, an eviction count that wedges every run boundary) fail with
+// ErrInvalidPlan, as do unknown presets; the caps themselves are accepted.
+func TestParseBounds(t *testing.T) {
+	for _, s := range []string{
+		"bogus",
+		`{"no_such_knob": 1}`,
+		`{"timer_jitter":4611686018427387904}`,
+		`{"cache_evict_rate":1,"cache_evict_lines":100000000000}`,
+		fmt.Sprintf(`{"timer_jitter":%d}`, maxTimerJitter+1),
+		`{"timer_jitter":-1}`,
+		fmt.Sprintf(`{"cache_evict_lines":%d}`, maxCacheEvictLines+1),
+		`{"cache_evict_lines":-4}`,
+		`{"psfp_evict_rate":1.5}`,
+		`{"trial_panic_rate":-0.1}`,
+	} {
+		if p, err := Parse(s); !errors.Is(err, ErrInvalidPlan) {
+			t.Errorf("Parse(%s) = %v, %v; want ErrInvalidPlan", s, p, err)
+		}
+	}
+	for _, s := range []string{
+		fmt.Sprintf(`{"timer_jitter":%d,"cache_evict_rate":1,"cache_evict_lines":%d}`, maxTimerJitter, maxCacheEvictLines),
+		`{"psfp_evict_rate":0,"ssbp_flip_rate":1}`,
+		strings.TrimPrefix(Default().Scale(2).String(), "fault-plan"),
+	} {
+		if _, err := Parse(s); err != nil {
+			t.Errorf("Parse(%s): %v", s, err)
+		}
+	}
+}
+
+// FuzzFaultPlan: any string parses to a plan inside the bounds or fails with
+// ErrInvalidPlan, never panics; an active plan's String form parses back to
+// the same plan.
+func FuzzFaultPlan(f *testing.F) {
+	for _, s := range []string{"", "none", "mild", "harsh", "bogus",
+		`{"seed":7,"timer_jitter":12,"cache_evict_rate":0.5,"cache_evict_lines":4}`,
+		`{"timer_jitter":4611686018427387904}`,
+		`{"cache_evict_rate":1,"cache_evict_lines":100000000000}`,
+		`{"psfp_evict_rate":-1e308}`, `{"seed":1} trailing`} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		p, err := Parse(s)
+		if err != nil {
+			if !errors.Is(err, ErrInvalidPlan) {
+				t.Fatalf("Parse(%q) error %v is not ErrInvalidPlan", s, err)
+			}
+			return
+		}
+		if err := p.check(); err != nil {
+			t.Fatalf("Parse(%q) accepted an out-of-bounds plan: %v", s, err)
+		}
+		if !p.Active() {
+			return
+		}
+		if back, err := Parse(strings.TrimPrefix(p.String(), "fault-plan")); err != nil || back != p {
+			t.Fatalf("Parse(%q) = %v does not round-trip: %v, %v", s, p, back, err)
+		}
+	})
 }
 
 // TestStringRoundTrip: the String rendering (minus its prefix) parses back to

@@ -32,11 +32,6 @@ type Ctx struct {
 	// Metrics, accumulation is commutative, so the snapshot is deterministic
 	// at any worker count.
 	Profile bool
-	// Progress, when non-nil, is called as the suite advances: once before
-	// each experiment with the count of experiments already finished and the
-	// ID about to run, and once after the last with done == total. It feeds
-	// live telemetry; leave nil when nothing is watching.
-	Progress func(done, total int, id string)
 	// TrialProgress, when non-nil, is called by ResilientTrials after every
 	// finished trial with the completed count and the trial total of the
 	// current loop. Completion order is scheduling-dependent, so the hook is
@@ -188,14 +183,8 @@ func (r *Registry) RunTagged(ctx Ctx, ids []string, tag string) (SuiteReport, er
 		plan := ctx.Config.Faults
 		suite.Faults = &plan
 	}
-	for i, e := range exps {
-		if ctx.Progress != nil {
-			ctx.Progress(i, len(exps), e.ID)
-		}
+	for _, e := range exps {
 		suite.Experiments = append(suite.Experiments, runOne(e, ctx))
-	}
-	if ctx.Progress != nil {
-		ctx.Progress(len(exps), len(exps), "")
 	}
 	return suite, nil
 }

@@ -26,9 +26,11 @@ const (
 	tidProbe = 2
 )
 
-// traceEvent is one Chrome trace-event object (the JSON Perfetto ingests).
+// TraceEvent is one Chrome trace-event object (the JSON Perfetto ingests),
+// shared by the simulated-cycle timeline here and the service's wall-clock
+// traces in internal/svcobs.
 // https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
-type traceEvent struct {
+type TraceEvent struct {
 	Name  string         `json:"name"`
 	Phase string         `json:"ph"`
 	TS    int64          `json:"ts"`
@@ -47,7 +49,7 @@ type traceEvent struct {
 // that when -trace is given.
 type Recorder struct {
 	mu     sync.Mutex
-	events []traceEvent
+	events []TraceEvent
 	seq    []int // emission order, for a stable sort tiebreak
 }
 
@@ -61,7 +63,7 @@ func (r *Recorder) Len() int {
 	return len(r.events)
 }
 
-func (r *Recorder) push(te traceEvent) {
+func (r *Recorder) push(te TraceEvent) {
 	r.mu.Lock()
 	r.seq = append(r.seq, len(r.events))
 	r.events = append(r.events, te)
@@ -76,7 +78,7 @@ func (r *Recorder) HandleInst(e *InstEvent) {
 	if e.Transient {
 		cat = "transient"
 	}
-	r.push(traceEvent{
+	r.push(TraceEvent{
 		Name: name, Phase: "X", TS: e.RetiredBy, Dur: 1,
 		PID: pidCores, TID: e.CPU, Cat: cat,
 		Args: map[string]any{
@@ -96,7 +98,7 @@ func (r *Recorder) HandleEvent(e Event) {
 		if dur < 1 {
 			dur = 1
 		}
-		r.push(traceEvent{
+		r.push(TraceEvent{
 			Name: "squash:" + ev.Kind.String(), Phase: "X",
 			TS: ev.Start, Dur: dur,
 			PID: pidCores, TID: ev.CPU, Cat: "squash",
@@ -202,8 +204,8 @@ func (r *Recorder) HandleEvent(e Event) {
 	}
 }
 
-func (r *Recorder) instant(name string, ts int64, pid, tid int, cat string, args map[string]any) traceEvent {
-	return traceEvent{
+func (r *Recorder) instant(name string, ts int64, pid, tid int, cat string, args map[string]any) TraceEvent {
+	return TraceEvent{
 		Name: name, Phase: "i", TS: ts, PID: pid, TID: tid,
 		Scope: "t", Cat: cat, Args: args,
 	}
@@ -221,19 +223,19 @@ func counterStr(c Counters) string {
 // Timestamps are microseconds to the viewer; here 1 µs == 1 simulated cycle.
 func (r *Recorder) Perfetto() ([]byte, error) {
 	r.mu.Lock()
-	evs := make([]traceEvent, len(r.events))
+	evs := make([]TraceEvent, len(r.events))
 	copy(evs, r.events)
 	r.mu.Unlock()
 
 	sort.SliceStable(evs, func(i, j int) bool { return evs[i].TS < evs[j].TS })
 
-	meta := func(pid, tid int, kind, name string) traceEvent {
-		return traceEvent{
+	meta := func(pid, tid int, kind, name string) TraceEvent {
+		return TraceEvent{
 			Name: kind, Phase: "M", PID: pid, TID: tid,
 			Args: map[string]any{"name": name},
 		}
 	}
-	out := []traceEvent{
+	out := []TraceEvent{
 		meta(pidCores, 0, "process_name", "hw-threads"),
 		meta(pidPredictors, 0, "process_name", "predictors"),
 		meta(pidPredictors, tidPSFP, "thread_name", "PSFP"),
@@ -262,8 +264,14 @@ func (r *Recorder) Perfetto() ([]byte, error) {
 	}
 	out = append(out, evs...)
 
+	return TraceJSON(out, "ns")
+}
+
+// TraceJSON renders events, already in display order, as a Chrome
+// trace-event document with the given displayTimeUnit ("ns" or "ms").
+func TraceJSON(events []TraceEvent, displayUnit string) ([]byte, error) {
 	return json.MarshalIndent(struct {
-		TraceEvents []traceEvent `json:"traceEvents"`
+		TraceEvents []TraceEvent `json:"traceEvents"`
 		DisplayUnit string       `json:"displayTimeUnit"`
-	}{out, "ns"}, "", " ")
+	}{events, displayUnit}, "", " ")
 }

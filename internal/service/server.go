@@ -10,6 +10,7 @@ import (
 	"net/http/pprof"
 	"time"
 
+	"zenspec/internal/fault"
 	"zenspec/internal/harness"
 )
 
@@ -146,6 +147,8 @@ func (s *Server) fail(w http.ResponseWriter, err error) {
 		status, code = http.StatusServiceUnavailable, "draining"
 	case errors.Is(err, ErrRecordTooLarge):
 		status, code = http.StatusRequestEntityTooLarge, "too_large"
+	case errors.Is(err, fault.ErrInvalidPlan):
+		status, code = http.StatusBadRequest, "bad_request"
 	}
 	writeError(w, status, code, err.Error())
 }

@@ -9,13 +9,16 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"zenspec/internal/asm"
+	"zenspec/internal/fault"
 	"zenspec/internal/harness"
 	"zenspec/internal/isa"
 	"zenspec/internal/kernel"
@@ -363,5 +366,167 @@ func TestOversizeRemoteCompletionFailsShard(t *testing.T) {
 	if st.State != JobFailed || !strings.Contains(st.Shards[0].Error, ErrRecordTooLarge.Error()) ||
 		!strings.Contains(st.Shards[0].Error, "413") || st.Shards[0].Attempt != 0 {
 		t.Fatalf("job finished %+v, want its shard failed by the 413", st)
+	}
+}
+
+// invalidPlanSpecs are submit bodies whose fault plan fault.Parse refuses:
+// an unknown preset, a jitter that overflows the RDPRU noise draw, and an
+// eviction count that wedges every run boundary of the leasing worker.
+var invalidPlanSpecs = []string{
+	`{"seed":1,"faults":"bogus"}`,
+	`{"seed":1,"faults":"{\"timer_jitter\":4611686018427387904}"}`,
+	`{"seed":1,"faults":"{\"cache_evict_rate\":1,\"cache_evict_lines\":100000000000}"}`,
+}
+
+// TestSubmitInvalidFaultPlan: a fault plan outside the bounds is the
+// client's mistake: 400 bad_request over the wire, fault.ErrInvalidPlan in
+// process, and no job is journaled.
+func TestSubmitInvalidFaultPlan(t *testing.T) {
+	d, err := Open(Config{Dir: t.TempDir(), Registry: fakeRegistry("a"), Workers: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Shutdown(context.Background())
+	h := NewServer(d).Handler()
+	for _, body := range invalidPlanSpecs {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/jobs", strings.NewReader(body)))
+		var ae apiError
+		json.Unmarshal(rec.Body.Bytes(), &ae)
+		if rec.Code != http.StatusBadRequest || ae.Code != "bad_request" {
+			t.Errorf("POST %s: %d %+v, want 400 bad_request", body, rec.Code, ae)
+		}
+		var spec JobSpec
+		if err := json.Unmarshal([]byte(body), &spec); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.Submit(spec); !errors.Is(err, fault.ErrInvalidPlan) {
+			t.Errorf("Submit(%+v) err = %v, want fault.ErrInvalidPlan", spec, err)
+		}
+	}
+	if jobs := d.Jobs(); len(jobs) != 0 {
+		t.Fatalf("refused submits left jobs behind: %+v", jobs)
+	}
+}
+
+// FuzzSubmitSpec: any /v1/jobs body sent to a queue-only daemon is accepted
+// (200) or refused with a typed 4xx; nothing a client sends is a 5xx.
+func FuzzSubmitSpec(f *testing.F) {
+	for _, s := range append([]string{
+		`{"seed":1}`,
+		`{"seed":7,"quick":true,"only":["a"],"faults":"harsh","split":4,"priority":2,"deadline":1000,"retries":1}`,
+		`{"only":["no-such"]}`,
+		`{"faults":"{\"seed\":3,\"psfp_evict_rate\":1.5}"}`,
+		`{"seed":"x"}`,
+		`not json`,
+		``,
+	}, invalidPlanSpecs...) {
+		f.Add([]byte(s))
+	}
+	d, err := Open(Config{Dir: f.TempDir(), Registry: fakeRegistry("a", "b"), Workers: 0})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { d.Shutdown(context.Background()) })
+	h := NewServer(d).Handler()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/jobs", bytes.NewReader(body)))
+		if rec.Code == http.StatusOK {
+			return
+		}
+		var ae apiError
+		if err := json.Unmarshal(rec.Body.Bytes(), &ae); err != nil || ae.Code == "" ||
+			rec.Code < 400 || rec.Code >= 500 {
+			t.Fatalf("POST %q: %d %s, want 200 or a typed 4xx", body, rec.Code, rec.Body.Bytes())
+		}
+	})
+}
+
+// TestHostPprofMounted: zenspecd's mux serves the host process's Go
+// profiler beside the job API.
+func TestHostPprofMounted(t *testing.T) {
+	d, err := Open(Config{Dir: t.TempDir(), Registry: fakeRegistry("a"), Workers: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Shutdown(context.Background())
+	h := NewServer(d).Handler()
+	for _, path := range []string{"/debug/pprof/", "/debug/pprof/cmdline"} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+		if rec.Code != http.StatusOK || rec.Body.Len() == 0 {
+			t.Errorf("GET %s: status %d, %d bytes", path, rec.Code, rec.Body.Len())
+		}
+	}
+}
+
+// TestShutdownDrainsInFlight: Server.Shutdown refuses new connections at
+// once but lets a request already being served run to completion. The
+// in-flight request is a one-second host CPU profile, which also shows the
+// server sets no write timeout.
+func TestShutdownDrainsInFlight(t *testing.T) {
+	d, err := Open(Config{Dir: t.TempDir(), Registry: fakeRegistry("a"), Workers: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(d)
+	addr, err := srv.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	type result struct {
+		code int
+		body []byte
+		err  error
+	}
+	inflight := make(chan result, 1)
+	go func() {
+		resp, err := http.Get("http://" + addr.String() + "/debug/pprof/profile?seconds=1")
+		if err != nil {
+			inflight <- result{err: err}
+			return
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		inflight <- result{code: resp.StatusCode, body: body}
+	}()
+	// Wait until the request is inside the profile handler.
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if bytes.Contains(buf[:runtime.Stack(buf, true)], []byte("net/http/pprof.Profile(")) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("profile request never reached its handler")
+		}
+	}
+
+	done := make(chan error, 1)
+	go func() { done <- srv.Shutdown(context.Background()) }()
+
+	// The listener closes before the drain completes: new connections fail
+	// while the in-flight profile is still being taken.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		conn, err := net.DialTimeout("tcp", addr.String(), 100*time.Millisecond)
+		if err != nil {
+			break
+		}
+		conn.Close()
+		if time.Now().After(deadline) {
+			t.Fatal("listener still accepting connections after Shutdown")
+		}
+	}
+
+	r := <-inflight
+	if r.err != nil {
+		t.Fatalf("in-flight request killed by Shutdown: %v", r.err)
+	}
+	if r.code != 200 || len(r.body) < 2 || r.body[0] != 0x1f || r.body[1] != 0x8b {
+		t.Fatalf("in-flight profile not served to completion: status %d, %d bytes", r.code, len(r.body))
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("Shutdown: %v", err)
 	}
 }

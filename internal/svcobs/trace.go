@@ -1,11 +1,12 @@
 package svcobs
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"sync"
 	"time"
+
+	"zenspec/internal/obs"
 )
 
 // Span is one wall-clock trace record, the wire unit of distributed tracing:
@@ -164,20 +165,6 @@ func (t *TraceLog) Len(trace string) int {
 	return len(t.traces[trace])
 }
 
-// traceEvent mirrors the Chrome trace-event JSON object (the same shape
-// internal/obs emits for simulated cycles; redeclared here to keep the
-// wall-clock plane dependency-free of the simulation observer).
-type traceEvent struct {
-	Name  string         `json:"name"`
-	Phase string         `json:"ph"`
-	TS    int64          `json:"ts"`
-	Dur   int64          `json:"dur,omitempty"`
-	PID   int            `json:"pid"`
-	TID   int            `json:"tid"`
-	Scope string         `json:"s,omitempty"`
-	Args  map[string]any `json:"args,omitempty"`
-}
-
 // Perfetto renders one trace as Chrome trace-event JSON, loadable in
 // ui.perfetto.dev: one Perfetto "process" per actor (the daemon pinned
 // first), one "thread" per track within it, timestamps in real microseconds.
@@ -216,9 +203,9 @@ func (t *TraceLog) Perfetto(trace string) ([]byte, error) {
 	})
 	pid := map[string]int{}
 	tid := map[string]map[string]int{}
-	var out []traceEvent
-	meta := func(p, tr int, kind, name string) traceEvent {
-		return traceEvent{Name: kind, Phase: "M", PID: p, TID: tr,
+	var out []obs.TraceEvent
+	meta := func(p, tr int, kind, name string) obs.TraceEvent {
+		return obs.TraceEvent{Name: kind, Phase: "M", PID: p, TID: tr,
 			Args: map[string]any{"name": name}}
 	}
 	for i, a := range actors {
@@ -240,13 +227,13 @@ func (t *TraceLog) Perfetto(trace string) ([]byte, error) {
 		}
 	}
 
-	evs := make([]traceEvent, 0, len(spans))
+	evs := make([]obs.TraceEvent, 0, len(spans))
 	for _, s := range spans {
 		ph := s.Phase
 		if ph == "" {
 			ph = "X"
 		}
-		te := traceEvent{
+		te := obs.TraceEvent{
 			Name: s.Name, Phase: ph, TS: s.StartUS - origin, Dur: s.DurUS,
 			PID: pid[s.Actor], TID: tid[s.Actor][s.Track], Args: s.Args,
 		}
@@ -258,10 +245,7 @@ func (t *TraceLog) Perfetto(trace string) ([]byte, error) {
 	sort.SliceStable(evs, func(i, j int) bool { return evs[i].TS < evs[j].TS })
 	out = append(out, evs...)
 
-	return json.MarshalIndent(struct {
-		TraceEvents []traceEvent `json:"traceEvents"`
-		DisplayUnit string       `json:"displayTimeUnit"`
-	}{out, "ms"}, "", " ")
+	return obs.TraceJSON(out, "ms")
 }
 
 // ActorDaemon is the daemon's span actor name, pinned as the first Perfetto

@@ -260,3 +260,18 @@ func TestPlatformsCopyAndZeroDefault(t *testing.T) {
 		t.Error("ryzen9-5900x preset does not lower to SQSize 48")
 	}
 }
+
+// TestErrInvalidFaultPlan: the plans that overflow the RDPRU noise draw or
+// wedge every run boundary, and an unknown preset, fail with the typed
+// sentinel instead of reaching a machine.
+func TestErrInvalidFaultPlan(t *testing.T) {
+	for _, s := range []string{
+		"bogus",
+		`{"timer_jitter":4611686018427387904}`,
+		`{"cache_evict_rate":1,"cache_evict_lines":100000000000}`,
+	} {
+		if _, err := ParseFaultPlan(s); !errors.Is(err, ErrInvalidFaultPlan) {
+			t.Errorf("ParseFaultPlan(%s) err = %v, want ErrInvalidFaultPlan", s, err)
+		}
+	}
+}

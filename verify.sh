@@ -28,6 +28,12 @@ fi
 echo "== go build =="
 go build ./...
 
+echo "== perfbench module (vet, build) =="
+# perfbench is a nested module, so the root ./... skips it; build it here so a
+# facade change cannot break the benchmark driver unnoticed. -o /dev/null
+# keeps the binary out of the tree.
+(cd perfbench && go vet ./... && go build -o /dev/null ./...)
+
 echo "== go test -race =="
 go test -race ./...
 
@@ -43,6 +49,13 @@ echo "== zenspecd journal-replay fuzz smoke =="
 # point.
 go test -run=FuzzJournalReplay -fuzz=FuzzJournalReplay \
     -fuzztime 10s ./internal/service
+
+echo "== fault-plan and submit-spec fuzz smokes =="
+# Ten seconds each of arbitrary fault-plan strings (a bounded plan or
+# fault.ErrInvalidPlan, never a panic) and arbitrary /v1/jobs bodies against
+# a queue-only daemon (200 or a typed 4xx, never a 5xx).
+go test -run=FuzzFaultPlan -fuzz=FuzzFaultPlan -fuzztime 10s ./internal/fault
+go test -run=FuzzSubmitSpec -fuzz=FuzzSubmitSpec -fuzztime 10s ./internal/service
 
 echo "== core microbenchmark smoke (allocation invariants) =="
 # One short pass over the per-cycle hot-path benchmarks. The grep gates the

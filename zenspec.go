@@ -131,11 +131,6 @@ type Config struct {
 	// stall breakdown. Like Metrics the fold is commutative, so profiles are
 	// byte-identical at any Parallelism.
 	Profile bool
-	// Progress, when non-nil, is called by RunExperiments as the suite
-	// advances — before each experiment with the finished count and the ID
-	// about to run, and once at the end with done == total. It feeds the
-	// live telemetry endpoint; leave nil when nothing is watching.
-	Progress func(done, total int, id string)
 	// Completed, when non-nil, receives every finished experiment report as
 	// it lands. Accumulating these is how an interrupted run keeps its
 	// partial results: AssembleExperiments turns the collected reports into
@@ -180,6 +175,12 @@ func DefaultFaultPlan() FaultPlan { return fault.Default() }
 // "mild", "default" and "harsh" are presets; a '{...}' string is an inline
 // JSON FaultPlan object.
 func ParseFaultPlan(s string) (FaultPlan, error) { return fault.Parse(s) }
+
+// ErrInvalidFaultPlan is wrapped into every error ParseFaultPlan returns: an
+// unknown preset, malformed JSON, a rate outside [0, 1], or a timer jitter or
+// cache-eviction line count that is negative or over its cap (see
+// EXPERIMENTS.md's robustness section); test with errors.Is.
+var ErrInvalidFaultPlan = fault.ErrInvalidPlan
 
 // Re-exported building blocks. Consumers name these through the facade; the
 // implementations live in internal packages.
@@ -302,16 +303,6 @@ func ProfilerClasses() []EventClass { return prof.Classes() }
 // delta of two snapshots, e.g. a mitigated run against a vulnerable
 // baseline. Sites identical in both snapshots are dropped.
 func DiffProfiles(a, b *ProfileSnapshot) *ProfileSnapshot { return prof.Diff(a, b) }
-
-// Telemetry serves a live view of a running suite over HTTP: Prometheus-text
-// /metrics, JSON /progress, the current simulated-machine profile at
-// /profile (pprof protobuf) and /profile.txt, and the host's own
-// /debug/pprof. Wire sources with SetMetrics/SetProfile, drive progress via
-// Config.Progress, and bind with Serve.
-type Telemetry = prof.Telemetry
-
-// NewTelemetry returns an empty telemetry hub.
-func NewTelemetry() *Telemetry { return prof.NewTelemetry() }
 
 // Observers composes observers into one that fans events out in order,
 // skipping nils; it returns nil when every argument is nil. Use it to attach
@@ -584,7 +575,6 @@ func RunExperiments(cfg Config, quick bool, ids []string) (ExperimentSuite, erro
 		Quick:     quick,
 		Metrics:   cfg.Metrics,
 		Profile:   cfg.Profile,
-		Progress:  cfg.Progress,
 		Completed: cfg.Completed,
 	}, ids)
 }
